@@ -163,7 +163,7 @@ def _cap_threads() -> None:
 
 
 def _build_corpus_pieces(cfg: RunConfig):
-    from .corpus import NoiseChannel, Tokenizer, load_sentence_pool, random_sentences
+    from .corpus import NoiseChannel, Tokenizer, load_sentence_pool
     from .tasks import TaskRegistry
 
     registry = TaskRegistry(cfg.task_names)
@@ -260,12 +260,19 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     from .corpus import read_dataset
     from .metrics import evaluate, greedy_corrector
+    from .tasks import format_prompt
     from .training import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
     samples = read_dataset(args.data, ckpt.registry)
+    # a prompt that fills max_seq_len leaves no room to decode: skipped and
+    # counted, as train skips overlong samples
+    fitting = [s for s in samples if len(format_prompt(ckpt.tokenizer, s.task, s.hypotheses)[0])
+               < ckpt.config.max_seq_len]
+    if len(fitting) < len(samples):
+        print(f"skipped {len(samples) - len(fitting)} overlong samples")
     corrector = greedy_corrector(ckpt.params, ckpt.config, ckpt.tokenizer)
-    report = evaluate(samples, corrector, compute_bleu=args.bleu)
+    report = evaluate(fitting, corrector, compute_bleu=args.bleu)
     print(report.to_table())
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

@@ -151,13 +151,26 @@ def causal_attention(
     layer: LayerParams,
     config: ModelConfig,
     positions: np.ndarray,
+    cache: "KVCache | None" = None,
+    layer_index: int = 0,
 ) -> Tensor:
-    """Multi-head attention with rotary Q/K and a strict causal mask."""
+    """Multi-head attention with rotary Q/K and a strict causal mask.
+
+    Without a cache, ``x`` is the whole sequence. With one, ``x`` holds the
+    tokens at ``positions`` right after the cached prefix: their keys and
+    values are written into layer ``layer_index``'s buffers, and they attend
+    over the prefix plus themselves. The cache path is inference-only: no
+    gradient flows through cached keys and values.
+    """
     b, t, d = x.data.shape
-    if t > config.max_seq_len:
-        raise ValueError(f"sequence length {t} exceeds max_seq_len {config.max_seq_len}")
+    end = t if cache is None else cache.length + t
+    if end > config.max_seq_len:
+        raise ValueError(f"sequence length {end} exceeds max_seq_len {config.max_seq_len}")
     h, hd = config.n_heads, config.head_dim
-    cos, sin = rope_tables(config, positions, x.data.dtype)
+    if cache is None:
+        cos, sin = rope_tables(config, positions, x.data.dtype)
+    else:
+        cos, sin = cache.rope_rows(config, t, x.data.dtype)
 
     def heads(w, rotate):
         y = ad.reshape(ad.matmul(x, w), (b, t, h, hd))
@@ -168,12 +181,50 @@ def causal_attention(
     q = heads(layer.wq, rotate=True)
     k = heads(layer.wk, rotate=True)
     v = heads(layer.wv, rotate=False)
+    if cache is not None:
+        k, v = cache.write(layer_index, k.data, v.data, config.max_seq_len)
 
     scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(hd))
-    causal = positions[None, :] <= positions[:, None]  # key pos <= query pos
+    # a single new token sees every key: the prefix and itself
+    causal = None if t == 1 else np.arange(end)[None, :] <= positions[:, None]
     att = ad.softmax(scores, mask=causal)
     mixed = ad.swapaxes(ad.matmul(att, v), 1, 2)
     return ad.matmul(ad.reshape(mixed, (b, t, d)), layer.wo)
+
+
+class KVCache:
+    """Per-layer key/value buffers for incremental greedy decoding.
+
+    ``k[i]`` and ``v[i]`` are [B, H, max_seq_len, head_dim] buffers, allocated
+    on layer ``i``'s first write and written in place after that; only the
+    first ``length`` positions hold keys and values. RoPE rows come from one
+    table over all positions, computed on first use.
+    """
+
+    def __init__(self, n_layers: int) -> None:
+        self.k: list[np.ndarray | None] = [None] * n_layers
+        self.v: list[np.ndarray | None] = [None] * n_layers
+        self.length = 0
+        self._rope: tuple[np.ndarray, np.ndarray] | None = None
+
+    def rope_rows(self, config: ModelConfig, t: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+        """cos/sin rows of the ``t`` positions that follow the cached prefix."""
+        if self._rope is None:
+            self._rope = rope_tables(config, np.arange(config.max_seq_len), dtype)
+        cos, sin = self._rope
+        return cos[self.length:self.length + t], sin[self.length:self.length + t]
+
+    def write(self, i: int, k: np.ndarray, v: np.ndarray, max_seq_len: int) -> tuple[Tensor, Tensor]:
+        """Store [B, H, t, hd] keys/values after the prefix; return layer ``i``'s
+        keys and values over the prefix plus the new positions."""
+        b, h, t, hd = k.shape
+        if self.k[i] is None:
+            self.k[i] = np.zeros((b, h, max_seq_len, hd), dtype=k.dtype)
+            self.v[i] = np.zeros_like(self.k[i])
+        end = self.length + t
+        self.k[i][:, :, self.length:end] = k
+        self.v[i][:, :, self.length:end] = v
+        return Tensor(self.k[i][:, :, :end]), Tensor(self.v[i][:, :, :end])
 
 
 def forward(
@@ -185,12 +236,15 @@ def forward(
     top_k: int | None = None,
     renormalize_pair: bool = True,
     aux_out: list | None = None,
+    cache: KVCache | None = None,
 ) -> tuple[Tensor, list[RoutingDecision]]:
     """Next-token logits [.., T, vocab] plus one RoutingDecision per layer.
 
     ``tokens`` is [T] or [B, T] integer ids. In train mode ``task_experts``
     (scalar or one id per sequence) drives the task-forced route; in infer mode
-    routing is plain top-K and any task argument is ignored.
+    routing is plain top-K and any task argument is ignored. With a ``cache``
+    (infer mode only), ``tokens`` continue the cached prefix, whose keys and
+    values they attend to, and the cache grows by T positions.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -200,14 +254,15 @@ def forward(
     single = tokens.ndim == 1
     ids = tokens[None, :] if single else tokens
     b, t = ids.shape
-    positions = np.arange(t)
+    start = 0 if cache is None else cache.length
+    positions = np.arange(start, start + t)
 
     x = ad.take(params.embedding, ids)
     d = config.d_model
     decisions: list[RoutingDecision] = []
-    for layer in params.layers:
+    for i, layer in enumerate(params.layers):
         x = ad.add(x, causal_attention(ad.rms_norm(x, layer.attn_norm, config.rms_eps),
-                                       layer, config, positions))
+                                       layer, config, positions, cache, i))
         flat = ad.reshape(ad.rms_norm(x, layer.ffn_norm, config.rms_eps), (b * t, d))
         if mode == "train":
             per_seq = np.broadcast_to(np.asarray(task_experts, dtype=np.int64), (b,))
@@ -224,16 +279,9 @@ def forward(
     logits = ad.matmul(x, ad.transpose(params.embedding))
     if single:
         logits = ad.reshape(logits, (t, config.vocab_size))
+    if cache is not None:
+        cache.length = start + t
     return logits, decisions
-
-
-class KVCache:
-    """Per-layer key/value prefix for incremental greedy decoding."""
-
-    def __init__(self, n_layers: int) -> None:
-        self.k: list[np.ndarray | None] = [None] * n_layers
-        self.v: list[np.ndarray | None] = [None] * n_layers
-        self.length = 0
 
 
 def forward_incremental(
@@ -244,47 +292,8 @@ def forward_incremental(
     top_k: int | None = None,
 ) -> tuple[np.ndarray, list[RoutingDecision]]:
     """Inference forward over appended tokens only; returns logits [t, vocab]."""
-    ids = np.asarray(new_tokens)[None, :]
-    b, t = ids.shape
-    start = cache.length
-    if start + t > config.max_seq_len:
-        raise ValueError(f"sequence length {start + t} exceeds max_seq_len {config.max_seq_len}")
-    positions = np.arange(start, start + t)
-    cos, sin = rope_tables(config, positions, params.embedding.data.dtype)
-    h, hd, d = config.n_heads, config.head_dim, config.d_model
-
-    x = ad.take(params.embedding, ids)
-    decisions = []
-    for i, layer in enumerate(params.layers):
-        hn = ad.rms_norm(x, layer.attn_norm, config.rms_eps)
-
-        def heads(w, rotate):
-            y = ad.reshape(ad.matmul(hn, w), (b, t, h, hd))
-            if rotate:
-                y = ad.rope(y, cos, sin)
-            return np.swapaxes(y.data, 1, 2)
-
-        q = heads(layer.wq, rotate=True)
-        k_new = heads(layer.wk, rotate=True)
-        v_new = heads(layer.wv, rotate=False)
-        cache.k[i] = k_new if cache.k[i] is None else np.concatenate([cache.k[i], k_new], axis=2)
-        cache.v[i] = v_new if cache.v[i] is None else np.concatenate([cache.v[i], v_new], axis=2)
-
-        scores = Tensor(q @ np.swapaxes(cache.k[i], -1, -2) * (1.0 / np.sqrt(hd)))
-        key_pos = np.arange(start + t)
-        att = ad.softmax(scores, mask=key_pos[None, :] <= positions[:, None])
-        mixed = np.swapaxes(att.data @ cache.v[i], 1, 2).reshape(b, t, d)
-        x = ad.add(x, ad.matmul(Tensor(mixed), layer.wo))
-
-        flat = ad.reshape(ad.rms_norm(x, layer.ffn_norm, config.rms_eps), (b * t, d))
-        y, decision = moe_forward_infer(flat, layer.moe, top_k or config.top_k)
-        decisions.append(decision)
-        x = ad.add(x, ad.reshape(y, (b, t, d)))
-
-    x = ad.rms_norm(x, params.final_norm, config.rms_eps)
-    logits = ad.matmul(x, ad.transpose(params.embedding))
-    cache.length = start + t
-    return logits.data[0], decisions
+    logits, decisions = forward(params, config, new_tokens, top_k=top_k, cache=cache)
+    return logits.data, decisions
 
 
 def generate(

@@ -51,11 +51,6 @@ class RoutingDecision:
     def k(self) -> int:
         return self.indices.shape[1]
 
-    def restrict(self, keep: np.ndarray) -> "RoutingDecision":
-        """Rows of the decision for which ``keep`` is True (e.g. non-pad tokens)."""
-        forced = None if self.task_forced is None else self.task_forced[keep]
-        return RoutingDecision(self.indices[keep], self.weights[keep], forced)
-
 
 def swiglu_ffn(x: Tensor, expert: ExpertParams) -> Tensor:
     gated = ad.mul(ad.silu(ad.matmul(x, expert.gate_proj)), ad.matmul(x, expert.up))

@@ -21,7 +21,7 @@ from .tasks import ExpertMap, TaskRegistry, build_expert_map, format_prompt
 
 
 class NumericalError(RuntimeError):
-    """Training hit a non-finite loss; carries a dump of the offending batch."""
+    """Training hit a non-finite loss or gradient; carries a dump of the offending batch."""
 
 
 class CheckpointError(ValueError):
@@ -359,11 +359,17 @@ class TrainResult:
     skipped_overlong: int
 
 
+def _numerical_error(what: str, step: int, batch: list[EncodedSample]) -> NumericalError:
+    dump = [(s.task_name, s.seed, len(s.ids)) for s in batch]
+    return NumericalError(f"{what} at step {step}; batch (task, seed, len): {dump}")
+
+
 def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
     """Run (or resume) training over ``samples``; returns per-step metric rows.
 
     Each step: zero grads, forward with the task route, backward, global-norm
-    clip, AdamW at the scheduled rate. Aborts on non-finite loss.
+    clip, AdamW at the scheduled rate. Aborts on a non-finite loss or gradient
+    norm, before that step updates any weight.
     """
     cfg = ckpt.train_config
     encoded, skipped = encode_samples(samples, ckpt.tokenizer, ckpt.expert_map,
@@ -393,13 +399,13 @@ def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
                                        aux_coeff=cfg.aux_loss_coeff)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
-                dump = [(s.task_name, s.seed, len(s.ids)) for s in batch]
-                raise NumericalError(
-                    f"non-finite loss {loss_value} at step {step}; batch (task, seed, len): {dump}")
+                raise _numerical_error(f"non-finite loss {loss_value}", step, batch)
             ad.backward(loss)
         if cfg.task_routing:
             assert all(d.task_forced is not None for d in decisions)
         grad_norm = clip_global_norm([p for p in all_params if p.grad is not None], cfg.grad_clip)
+        if not np.isfinite(grad_norm):  # checked before the update touches any weight
+            raise _numerical_error(f"non-finite gradient norm {grad_norm}", step, batch)
         adamw_step(named, ckpt.opt, lr, cfg)
         ckpt.step = step + 1
 

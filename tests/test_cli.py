@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -189,6 +190,25 @@ class TestEvalCorrectStats:
         assert code == 0
         assert "overall" in capsys.readouterr().out
         assert csv.read_text().startswith("task,n_samples,baseline_wer")
+
+    def test_eval_skips_and_counts_overlong_prompts(self, trained_run, tmp_path, capsys):
+        tiny_config, data, out = trained_run
+        lines = data.read_text().splitlines()
+        long_text = "the cat sleeps " * 20  # one hypothesis over max_seq_len = 128
+        overlong = json.dumps({"task": "asr", "hypotheses": [long_text], "target": "the cat",
+                               "seed": 0})
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("\n".join([lines[0], overlong, *lines[1:], overlong]) + "\n")
+        csv = tmp_path / "report.csv"
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(out / "model.ck"), "--data", str(mixed),
+                       "--csv", str(csv))
+        assert code == 0
+        assert "skipped 2 overlong samples" in capsys.readouterr().out
+        rows = [row.split(",") for row in csv.read_text().splitlines()]
+        assert rows[0][:2] == ["task", "n_samples"]
+        assert [r[0] for r in rows[1:]] == ["asr", "ocr", "typo", "overall"]
+        assert rows[-1][1] == str(len(lines))
 
     def test_correct_reads_stdin(self, trained_run, monkeypatch, capsys):
         tiny_config, data, out = trained_run

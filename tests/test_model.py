@@ -207,6 +207,32 @@ class TestGeneration:
         inc = np.concatenate([inc_a, inc_b], axis=0)
         assert np.abs(inc - full.data).max() < 1e-10
 
+    def test_f32_decode_stays_f32_and_writes_cache_in_place(self):
+        cfg = tiny_config(n_layers=3)
+        params = init_params(cfg, seed=20, dtype="f32")
+        rng = np.random.default_rng(6)
+        tokens = rng.integers(0, cfg.vocab_size, size=12)
+        full, _ = forward(params, cfg, tokens, mode="infer")
+        cache = KVCache(cfg.n_layers)
+        steps = [forward_incremental(params, cfg, tokens[:5], cache)[0]]
+        buffers = [id(a) for a in cache.k + cache.v]
+        for token in tokens[5:]:
+            steps.append(forward_incremental(params, cfg, np.array([token]), cache)[0])
+            assert [id(a) for a in cache.k + cache.v] == buffers
+        assert all(s.dtype == np.float32 for s in steps)
+        assert all(a.dtype == np.float32 for a in cache.k + cache.v)
+        assert cache.length == len(tokens)
+        assert np.abs(np.concatenate(steps) - full.data).max() < 1e-5
+
+    def test_incremental_rejects_overflowing_cache(self):
+        cfg = tiny_config(max_seq_len=8)
+        params = init_params(cfg, seed=21)
+        cache = KVCache(cfg.n_layers)
+        forward_incremental(params, cfg, np.zeros(6, dtype=np.int64), cache)
+        with pytest.raises(ValueError, match="sequence length 9 exceeds max_seq_len 8"):
+            forward_incremental(params, cfg, np.zeros(3, dtype=np.int64), cache)
+        assert cache.length == 6
+
     def test_greedy_generate_matches_step_by_step(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=18, dtype="f64")

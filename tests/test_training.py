@@ -329,6 +329,34 @@ class TestTrainLoop:
         with pytest.raises(NumericalError, match="non-finite"):
             train(ckpt, samples, on_step=poison)
 
+    def test_nan_gradient_with_finite_loss_aborts_before_update(self, tmp_path, monkeypatch):
+        ckpt, registry, tok = make_setup(seed=10)
+        samples = make_dataset(registry, n=2)
+        real_backward = ad.backward
+        calls = []
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            calls.append(float(loss.data))
+            if len(calls) == 2:  # the loss of step 1 is finite, one gradient is not
+                ckpt.params.layers[0].wq.grad[0, 0] = np.nan
+
+        snapshots = {}
+
+        def on_step(row, ck):
+            save_checkpoint(ck, tmp_path / f"step{ck.step}.ck")
+            snapshots[ck.step] = [t.data.copy() for _, t in ck.named_params()]
+
+        monkeypatch.setattr(ad, "backward", poisoned_backward)
+        with pytest.raises(NumericalError,
+                           match=r"gradient norm nan at step 1; batch \(task, seed, len\): \[\('"):
+            train(ckpt, samples, on_step=on_step)
+        assert np.isfinite(calls).all()
+        assert ckpt.step == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["step1.ck"]
+        for before, (name, t) in zip(snapshots[1], ckpt.named_params()):
+            assert np.array_equal(before, t.data), name
+
     def test_vocab_mismatch_rejected(self):
         registry = make_registry()
         tok = Tokenizer(registry.names)
