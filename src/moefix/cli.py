@@ -259,7 +259,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .corpus import read_dataset
-    from .metrics import evaluate, greedy_corrector
+    from .metrics import decode_budget, evaluate, greedy_corrector
     from .tasks import format_prompt
     from .training import load_checkpoint
 
@@ -267,8 +267,8 @@ def cmd_eval(args) -> int:
     samples = read_dataset(args.data, ckpt.registry)
     # a prompt that fills max_seq_len leaves no room to decode: skipped and
     # counted, as train skips overlong samples
-    fitting = [s for s in samples if len(format_prompt(ckpt.tokenizer, s.task, s.hypotheses)[0])
-               < ckpt.config.max_seq_len]
+    fitting = [s for s in samples if decode_budget(
+        ckpt.config, format_prompt(ckpt.tokenizer, s.task, s.hypotheses)[0]) > 0]
     if len(fitting) < len(samples):
         print(f"skipped {len(samples) - len(fitting)} overlong samples")
     corrector = greedy_corrector(ckpt.params, ckpt.config, ckpt.tokenizer)

@@ -168,10 +168,16 @@ class EvalReport:
         return "\n".join(lines)
 
 
+def decode_budget(config, prompt) -> int:
+    """Tokens left to decode after ``prompt`` within ``max_seq_len``; a prompt
+    with a budget of 0 or less does not fit."""
+    return config.max_seq_len - len(prompt)
+
+
 def correct_hypotheses(params, config, tokenizer, task, hypotheses) -> str:
     """Greedy-decode a correction for one n-best list."""
     prompt, _ = format_prompt(tokenizer, task, hypotheses)
-    budget = config.max_seq_len - len(prompt)
+    budget = decode_budget(config, prompt)
     if budget <= 0:
         raise ValueError(f"prompt of {len(prompt)} tokens leaves no room to generate")
     cap = min(budget, 2 * max(len(h) for h in hypotheses) + 8)

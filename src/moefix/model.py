@@ -167,10 +167,7 @@ def causal_attention(
     if end > config.max_seq_len:
         raise ValueError(f"sequence length {end} exceeds max_seq_len {config.max_seq_len}")
     h, hd = config.n_heads, config.head_dim
-    if cache is None:
-        cos, sin = rope_tables(config, positions, x.data.dtype)
-    else:
-        cos, sin = cache.rope_rows(config, t, x.data.dtype)
+    cos, sin = rope_tables(config, positions, x.data.dtype)
 
     def heads(w, rotate):
         y = ad.reshape(ad.matmul(x, w), (b, t, h, hd))
@@ -182,7 +179,7 @@ def causal_attention(
     k = heads(layer.wk, rotate=True)
     v = heads(layer.wv, rotate=False)
     if cache is not None:
-        k, v = cache.write(layer_index, k.data, v.data, config.max_seq_len)
+        k, v = cache.write(layer_index, k.data, v.data, config)
 
     scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(hd))
     # a single new token sees every key: the prefix and itself
@@ -197,29 +194,20 @@ class KVCache:
 
     ``k[i]`` and ``v[i]`` are [B, H, max_seq_len, head_dim] buffers, allocated
     on layer ``i``'s first write and written in place after that; only the
-    first ``length`` positions hold keys and values. RoPE rows come from one
-    table over all positions, computed on first use.
+    first ``length`` positions hold keys and values.
     """
 
     def __init__(self, n_layers: int) -> None:
         self.k: list[np.ndarray | None] = [None] * n_layers
         self.v: list[np.ndarray | None] = [None] * n_layers
         self.length = 0
-        self._rope: tuple[np.ndarray, np.ndarray] | None = None
 
-    def rope_rows(self, config: ModelConfig, t: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-        """cos/sin rows of the ``t`` positions that follow the cached prefix."""
-        if self._rope is None:
-            self._rope = rope_tables(config, np.arange(config.max_seq_len), dtype)
-        cos, sin = self._rope
-        return cos[self.length:self.length + t], sin[self.length:self.length + t]
-
-    def write(self, i: int, k: np.ndarray, v: np.ndarray, max_seq_len: int) -> tuple[Tensor, Tensor]:
+    def write(self, i: int, k: np.ndarray, v: np.ndarray, config: ModelConfig) -> tuple[Tensor, Tensor]:
         """Store [B, H, t, hd] keys/values after the prefix; return layer ``i``'s
         keys and values over the prefix plus the new positions."""
         b, h, t, hd = k.shape
         if self.k[i] is None:
-            self.k[i] = np.zeros((b, h, max_seq_len, hd), dtype=k.dtype)
+            self.k[i] = np.zeros((b, h, config.max_seq_len, hd), dtype=k.dtype)
             self.v[i] = np.zeros_like(self.k[i])
         end = self.length + t
         self.k[i][:, :, self.length:end] = k
