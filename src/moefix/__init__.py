@@ -5,43 +5,10 @@ decoder-only transformer with MoE feed-forward blocks (`model`, `moe`), the
 task registry and prompt layout (`tasks`), synthetic noise corpora (`corpus`),
 the AdamW training loop with checkpoints (`training`), and WER/BLEU scoring
 (`metrics`). The `moefix` CLI wires them into reproducible experiments.
-"""
 
-from .autodiff import Graph, Tensor, backward, clip_global_norm, zero_grads
-from .corpus import (
-    CorrectionSample,
-    MixtureDataset,
-    NoiseChannel,
-    Tokenizer,
-    build_mixture,
-    corrupt,
-    gen_nbest,
-    load_sentence_pool,
-    read_dataset,
-    write_dataset,
-)
-from .metrics import EvalReport, WerBreakdown, bleu, evaluate, greedy_corrector, wer
-from .model import ModelConfig, TransformerParams, forward, generate, init_params
-from .moe import (
-    MoeLayerParams,
-    RoutingDecision,
-    UtilizationReport,
-    collect_route_stats,
-    gate_topk,
-    moe_forward_infer,
-    moe_forward_task,
-)
-from .tasks import ExpertMap, TaskId, TaskRegistry, build_expert_map, format_prompt, parse_output
-from .training import (
-    Checkpoint,
-    TrainConfig,
-    adamw_step,
-    load_checkpoint,
-    lr_at,
-    new_run,
-    nll_loss,
-    save_checkpoint,
-    train,
-)
+Import the modules themselves (``from moefix import training``): the package
+loads none of them, so ``moefix.cli`` can cap numpy's threads before numpy
+is imported.
+"""
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage/config error, 3 numerical failure. The
 NEKO_THREADS environment variable caps numpy worker threads and must take
-effect before numpy loads, so the heavy imports happen inside main().
+effect before numpy loads, so this module imports no numpy and the heavy
+imports happen inside main().
 """
 from __future__ import annotations
 
@@ -151,10 +152,10 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _cap_threads() -> None:
+def _cap_threads(argv: list[str]) -> None:
     """Honor NEKO_THREADS (and --deterministic, which implies one thread)."""
     n = os.environ.get("NEKO_THREADS")
-    if n is None and "--deterministic" in sys.argv:
+    if n is None and "--deterministic" in argv:
         n = "1"
     if n:
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -229,10 +230,14 @@ def cmd_train(args) -> int:
 
     header = metrics_header(ckpt.config.n_experts)
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
-    mode = "a" if args.resume and os.path.exists(metrics_path) else "w"
-    metrics_fh = open(metrics_path, mode, encoding="utf-8")
-    if mode == "w":
-        metrics_fh.write(",".join(header) + "\n")
+    earlier = []  # a resumed run keeps the rows before its checkpoint's step
+    if args.resume and os.path.exists(metrics_path):
+        with open(metrics_path, encoding="utf-8") as fh:
+            earlier = [row for row in fh.readlines()[1:]
+                       if row.strip() and int(row.split(",", 1)[0]) < ckpt.step]
+    metrics_fh = open(metrics_path, "w", encoding="utf-8")
+    metrics_fh.write(",".join(header) + "\n")
+    metrics_fh.writelines(earlier)
 
     def on_step(row, ck):
         metrics_fh.write(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h])
@@ -302,7 +307,9 @@ def cmd_route_stats(args) -> int:
     samples = read_dataset(args.data, ckpt.registry)
     for task in ckpt.registry:
         print(f"# task {task.name} -> expert {ckpt.expert_map.expert_for(task)}")
-    report = route_stats_over(ckpt, samples)
+    report, skipped = route_stats_over(ckpt, samples)
+    if skipped:
+        print(f"# skipped {skipped} overlong samples")
     print(report.to_csv(), end="")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
@@ -353,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _cap_threads(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     from .training import CheckpointError, NumericalError

@@ -222,7 +222,6 @@ def forward(
     mode: str = "infer",
     task_experts=None,
     top_k: int | None = None,
-    renormalize_pair: bool = True,
     aux_out: list | None = None,
     cache: KVCache | None = None,
 ) -> tuple[Tensor, list[RoutingDecision]]:
@@ -254,8 +253,7 @@ def forward(
         flat = ad.reshape(ad.rms_norm(x, layer.ffn_norm, config.rms_eps), (b * t, d))
         if mode == "train":
             per_seq = np.broadcast_to(np.asarray(task_experts, dtype=np.int64), (b,))
-            y, decision = moe_forward_task(flat, layer.moe, np.repeat(per_seq, t),
-                                           renormalize_pair=renormalize_pair)
+            y, decision = moe_forward_task(flat, layer.moe, np.repeat(per_seq, t))
         else:
             y, decision = moe_forward_infer(flat, layer.moe, top_k or config.top_k)
         if aux_out is not None:

@@ -1,9 +1,10 @@
 """Top-K gating, weighted expert mixing, and task-forced training routes.
 
-An MoE layer holds a linear gate plus n SwiGLU expert FFNs. Inference routes
-each token to its top-K gate logits; training deterministically activates the
-token's task-mapped expert alongside the best remaining expert, so every task
-keeps feeding its own expert while the gate still learns to share.
+An MoE layer holds a linear gate plus n SwiGLU expert FFNs. Both routes are
+one top-K selection over the gate logits. Inference takes the top-K as they
+are; training ranks each token's task-mapped expert first, so it runs
+alongside the best remaining expert: every task keeps feeding its own expert
+while the gate still learns to share.
 """
 from __future__ import annotations
 
@@ -47,22 +48,10 @@ class RoutingDecision:
     weights: np.ndarray   # [T, K] float, each row sums to 1
     task_forced: np.ndarray | None = None  # [T] int
 
-    @property
-    def k(self) -> int:
-        return self.indices.shape[1]
-
 
 def swiglu_ffn(x: Tensor, expert: ExpertParams) -> Tensor:
     gated = ad.mul(ad.silu(ad.matmul(x, expert.gate_proj)), ad.matmul(x, expert.up))
     return ad.matmul(gated, expert.down)
-
-
-def _as_rows(x: Tensor) -> tuple[Tensor, bool]:
-    if x.data.ndim == 1:
-        return ad.reshape(x, (1, x.data.shape[0])), True
-    if x.data.ndim == 2:
-        return x, False
-    raise ad.ShapeError(f"expected token rows [N, d] or a single [d], got {x.data.shape}")
 
 
 def _topk(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,71 +84,45 @@ def _mix(x: Tensor, params: MoeLayerParams, weights: Tensor, sel: np.ndarray) ->
     return out
 
 
-def gate_topk(x: Tensor, gate: Tensor, k: int) -> RoutingDecision:
-    """Route token representations through the gate: masked softmax over the
-    top-k logits of x @ gate."""
-    rows, _ = _as_rows(x)
-    logits = ad.matmul(rows, gate)
-    idx, sel = _topk(logits.data, k)
+def _route(x: Tensor, params: MoeLayerParams, k: int,
+           forced: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
+    """Route token rows [N, d] to k experts each and mix their outputs.
+
+    The experts are the top-k gate logits of each row; a row's ``forced``
+    expert, if given, ranks first (its logit counts as +inf for the selection
+    only). Ties go to the lowest index. The weights are the softmax over the
+    selected logits; unselected experts are never evaluated.
+    """
+    logits = ad.matmul(x, params.gate)
+    ranked = logits.data
+    if forced is not None:
+        ranked = ranked.copy()
+        ranked[np.arange(forced.size), forced] = np.inf
+    idx, sel = _topk(ranked, k)
     w = ad.softmax(logits, mask=sel)
+    y = _mix(x, params, w, sel)
     weights = np.take_along_axis(w.data, idx, axis=-1)
-    return RoutingDecision(indices=idx, weights=weights)
+    return y, RoutingDecision(indices=idx, weights=weights, task_forced=forced)
 
 
 def moe_forward_infer(x: Tensor, params: MoeLayerParams, k: int = 2) -> tuple[Tensor, RoutingDecision]:
-    """Inference mixing: top-k experts by gate probability, unselected experts
-    are never evaluated. Task-agnostic by construction."""
-    rows, single = _as_rows(x)
-    logits = ad.matmul(rows, params.gate)
-    idx, sel = _topk(logits.data, k)
-    w = ad.softmax(logits, mask=sel)
-    y = _mix(rows, params, w, sel)
-    if single:
-        y = ad.reshape(y, (y.data.shape[-1],))
-    weights = np.take_along_axis(w.data, idx, axis=-1)
-    return y, RoutingDecision(indices=idx, weights=weights)
+    """Inference mixing: plain top-k. Task-agnostic by construction."""
+    return _route(x, params, k)
 
 
-def moe_forward_task(
-    x: Tensor,
-    params: MoeLayerParams,
-    task_expert,
-    renormalize_pair: bool = True,
-) -> tuple[Tensor, RoutingDecision]:
-    """Training mixing: the task-mapped expert plus the best remaining expert.
+def moe_forward_task(x: Tensor, params: MoeLayerParams, task_expert) -> tuple[Tensor, RoutingDecision]:
+    """Training mixing: the task-mapped expert plus the best remaining expert,
+    weighted by the softmax over the two selected logits.
 
-    ``task_expert`` is an expert index (scalar, or one per token row). The pair
-    weights are by default the masked softmax over exactly the two selected
-    logits; ``renormalize_pair=False`` instead takes the full-softmax entries
-    unrenormalized (the alternative reading of the training route).
+    ``task_expert`` is an expert index (scalar, or one per token row).
     """
     n_experts = len(params.experts)
     if n_experts < 2:
         raise ValueError("task routing needs at least 2 experts for a distinct runner-up")
-    rows, single = _as_rows(x)
-    n = rows.data.shape[0]
-    forced = np.broadcast_to(np.asarray(task_expert, dtype=np.int64), (n,))
+    forced = np.array(np.broadcast_to(np.asarray(task_expert, dtype=np.int64), (x.data.shape[0],)))
     if forced.min() < 0 or forced.max() >= n_experts:
         raise ValueError(f"task expert id out of range [0, {n_experts})")
-
-    logits = ad.matmul(rows, params.gate)
-    blocked = logits.data.copy()
-    blocked[np.arange(n), forced] = -np.inf
-    top1 = blocked.argmax(axis=-1)  # argmax takes the first maximum: lowest index on ties
-    sel = np.zeros((n, n_experts), dtype=bool)
-    sel[np.arange(n), forced] = True
-    sel[np.arange(n), top1] = True
-
-    if renormalize_pair:
-        w = ad.softmax(logits, mask=sel)
-    else:
-        w = ad.mul(ad.softmax(logits), Tensor(sel.astype(logits.data.dtype)))
-    y = _mix(rows, params, w, sel)
-    if single:
-        y = ad.reshape(y, (y.data.shape[-1],))
-    idx = np.stack([forced, top1], axis=1)
-    weights = np.take_along_axis(w.data, idx, axis=-1)
-    return y, RoutingDecision(indices=idx, weights=weights, task_forced=forced.copy())
+    return _route(x, params, 2, forced)
 
 
 def load_balance_aux(x: Tensor, gate: Tensor, decision: RoutingDecision) -> Tensor:
@@ -213,7 +176,7 @@ class UtilizationReport:
         return "\n".join(lines) + "\n"
 
 
-def collect_route_stats(stream, n_experts: int | None = None) -> UtilizationReport:
+def collect_route_stats(stream, n_experts: int) -> UtilizationReport:
     """Fold a stream of (task, RoutingDecision) pairs into a UtilizationReport.
 
     ``task`` may be a TaskId or a plain name string.
@@ -221,24 +184,15 @@ def collect_route_stats(stream, n_experts: int | None = None) -> UtilizationRepo
     counts: dict[str, np.ndarray] = {}
     wsums: dict[str, np.ndarray] = {}
     tokens: dict[str, int] = {}
-    width = n_experts or 0
     for task, decision in stream:
         name = getattr(task, "name", None) or str(task)
-        width = max(width, int(decision.indices.max()) + 1)
         if name not in counts:
-            counts[name] = np.zeros(width, dtype=np.int64)
-            wsums[name] = np.zeros(width, dtype=np.float64)
+            counts[name] = np.zeros(n_experts, dtype=np.int64)
+            wsums[name] = np.zeros(n_experts, dtype=np.float64)
             tokens[name] = 0
-        elif counts[name].size < width:
-            counts[name] = np.concatenate([counts[name], np.zeros(width - counts[name].size, dtype=np.int64)])
-            wsums[name] = np.concatenate([wsums[name], np.zeros(width - wsums[name].size)])
         np.add.at(counts[name], decision.indices.ravel(), 1)
         np.add.at(wsums[name], decision.indices.ravel(), decision.weights.ravel())
         tokens[name] += decision.indices.shape[0]
     if not counts:
         raise ValueError("empty routing stream")
-    for name in counts:  # pad tasks seen before the final width was known
-        if counts[name].size < width:
-            counts[name] = np.concatenate([counts[name], np.zeros(width - counts[name].size, dtype=np.int64)])
-            wsums[name] = np.concatenate([wsums[name], np.zeros(width - wsums[name].size)])
-    return UtilizationReport(width, counts, wsums, tokens)
+    return UtilizationReport(n_experts, counts, wsums, tokens)

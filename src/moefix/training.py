@@ -205,7 +205,6 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 _EPOCH_SALT = 0x65  # 'e'
 _MAP_SALT = 0x6D    # 'm'
-_RNG_SALT = 0x72    # 'r'
 
 
 @dataclass
@@ -222,7 +221,6 @@ class Checkpoint:
     opt: AdamState
     step: int = 0
     total_steps: int = 0
-    rng: np.random.Generator | None = None
 
     def named_params(self):
         return list(named_tensors(self.params))
@@ -240,7 +238,6 @@ def new_run(config: ModelConfig, train_config: TrainConfig, registry: TaskRegist
         config=config, dtype=dtype, params=params, registry=registry,
         tokenizer=tokenizer, expert_map=expert_map, train_config=train_config,
         opt=AdamState(named), step=0, total_steps=0,
-        rng=np.random.default_rng(derive_seed(train_config.seed, _RNG_SALT)),
     )
 
 
@@ -289,7 +286,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "step": ckpt.step,
         "total_steps": ckpt.total_steps,
         "adam_t": ckpt.opt.t,
-        "rng_state": ckpt.rng.bit_generator.state,
         "n_tensors": len(entries),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -336,13 +332,11 @@ def load_checkpoint(path) -> Checkpoint:
                 tensor.data = arr
             else:
                 store[name] = arr
-    rng = np.random.default_rng(0)
-    rng.bit_generator.state = header["rng_state"]
     return Checkpoint(
         config=config, dtype=dtype, params=params, registry=registry,
         tokenizer=tokenizer, expert_map=ExpertMap.from_dict(header["expert_map"]),
         train_config=TrainConfig(**header["train_config"]), opt=opt,
-        step=int(header["step"]), total_steps=int(header["total_steps"]), rng=rng,
+        step=int(header["step"]), total_steps=int(header["total_steps"]),
     )
 
 
@@ -423,14 +417,13 @@ def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
     return TrainResult(rows=rows, skipped_overlong=skipped)
 
 
-def route_stats_over(ckpt: Checkpoint, samples, top_k: int | None = None):
-    """Inference-time routing statistics over a dataset, per task."""
+def route_stats_over(ckpt: Checkpoint, samples):
+    """Inference-time routing statistics over a dataset, per task, and the
+    number of samples skipped as overlong (as ``train`` skips them)."""
+    encoded, skipped = encode_samples(samples, ckpt.tokenizer, ckpt.expert_map,
+                                      ckpt.config.max_seq_len)
     stream = []
-    for sample in samples:
-        ids, _ = format_prompt(ckpt.tokenizer, sample.task, sample.hypotheses,
-                               target=sample.target)
-        if len(ids) > ckpt.config.max_seq_len:
-            continue
-        _, decisions = forward(ckpt.params, ckpt.config, ids, mode="infer", top_k=top_k)
-        stream.extend((sample.task, d) for d in decisions)
-    return collect_route_stats(stream, n_experts=ckpt.config.n_experts)
+    for sample in encoded:
+        _, decisions = forward(ckpt.params, ckpt.config, sample.ids, mode="infer")
+        stream.extend((sample.task_name, d) for d in decisions)
+    return collect_route_stats(stream, n_experts=ckpt.config.n_experts), skipped

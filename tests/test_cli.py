@@ -83,8 +83,29 @@ class TestConfig:
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("NEKO_THREADS", "1")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        cli._cap_threads()
+        cli._cap_threads([])
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+    def test_deterministic_flag_caps_threads_before_numpy_loads(self, tiny_config, tmp_path):
+        # a fresh process: the flag is read from main's argv, not sys.argv, and
+        # the cap is set while numpy is still unloaded, so BLAS reads it
+        script = (
+            "import os, sys\n"
+            "import moefix.cli\n"
+            "assert 'numpy' not in sys.modules, 'importing moefix.cli loaded numpy'\n"
+            "sys.argv = ['moefix']\n"
+            f"code = moefix.cli.main(['--config', {tiny_config!r}, '--deterministic',\n"
+            f"                        'gen-data', '--out', {str(tmp_path / 'd.jsonl')!r}])\n"
+            "assert code == 0, code\n"
+            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("NEKO_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "1"
 
 
 class TestGenData:
@@ -159,6 +180,25 @@ class TestTrain:
         assert run_cli("--config", str(cfg_interval), "train", "--data", str(data),
                        "--out-dir", str(resumed_dir), "--resume", str(mid)) == 0
         assert (resumed_dir / "model.ck").read_bytes() == (full_dir / "model.ck").read_bytes()
+
+    def test_resume_into_same_dir_keeps_each_metrics_row_once(self, tiny_config, tmp_path):
+        data = tmp_path / "data.jsonl"
+        run_cli("--config", tiny_config, "gen-data", "--out", str(data))
+        cfg_interval = tmp_path / "cfg_interval.cfg"
+        cfg_interval.write_text(TINY + "checkpoint_interval = 3\n")
+        out = tmp_path / "run"
+        assert run_cli("--config", str(cfg_interval), "train", "--data", str(data),
+                       "--out-dir", str(out)) == 0
+        uninterrupted = (out / "metrics.csv").read_text().splitlines()
+        total = tr.load_checkpoint(out / "model.ck").total_steps
+        assert total > 3
+
+        assert run_cli("--config", str(cfg_interval), "train", "--data", str(data),
+                       "--out-dir", str(out), "--resume",
+                       str(out / "checkpoint_000003.ck")) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        assert [int(row.split(",")[0]) for row in lines[1:]] == list(range(total))
+        assert lines == uninterrupted
 
     def test_malformed_dataset_reports_line(self, tiny_config, tmp_path, capsys):
         data = tmp_path / "broken.jsonl"
@@ -236,6 +276,22 @@ class TestEvalCorrectStats:
         for task, expert, fraction, mean_w in rows:
             per_task[task] = per_task.get(task, 0.0) + float(fraction)
         assert per_task and all(abs(v - 2.0) < 1e-6 for v in per_task.values())
+
+    def test_route_stats_counts_overlong_samples(self, trained_run, tmp_path, capsys):
+        tiny_config, data, out = trained_run
+        long_text = "the cat sleeps " * 20  # one hypothesis over max_seq_len = 128
+        overlong = json.dumps({"task": "asr", "hypotheses": [long_text], "target": "the cat",
+                               "seed": 0})
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text(data.read_text() + overlong + "\n")
+        capsys.readouterr()
+        code = run_cli("route-stats", "--checkpoint", str(out / "model.ck"), "--data", str(mixed))
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "# skipped 1 overlong samples" in lines
+        rows = [l for l in lines if l and not l.startswith("#")]
+        assert rows[0] == "task,expert,fraction,mean_weight"
+        assert len(rows) == 1 + 3 * 2
 
     def test_incompatible_checkpoint_version_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ck"

@@ -8,7 +8,6 @@ from moefix.moe import (
     MoeLayerParams,
     RoutingDecision,
     collect_route_stats,
-    gate_topk,
     moe_forward_infer,
     moe_forward_task,
     swiglu_ffn,
@@ -41,11 +40,18 @@ def swiglu_reference(x, expert):
     return (h * sig * (x @ expert.up.data)) @ expert.down.data
 
 
+def identity_gate_layer(n_experts, seed=0):
+    """A layer whose gate logits equal its input rows."""
+    layer = make_layer(np.random.default_rng(seed), d=n_experts, n_experts=n_experts)
+    layer.gate = Tensor(np.eye(n_experts), requires_grad=True)
+    return layer
+
+
 class TestGateTopk:
     def test_two_of_four(self):
         # logits equal x via identity gate: top-2 of [1, 0, -1, 2] is {3, 0}
-        gate = Tensor(np.eye(4))
-        dec = gate_topk(Tensor(np.array([1.0, 0.0, -1.0, 2.0])), gate, k=2)
+        layer = identity_gate_layer(4)
+        _, dec = moe_forward_infer(Tensor(np.array([[1.0, 0.0, -1.0, 2.0]])), layer, k=2)
         assert dec.indices.tolist() == [[3, 0]]
         assert dec.weights[0, 0] == pytest.approx(0.7310585786300049, abs=1e-9)
         assert dec.weights[0, 1] == pytest.approx(0.2689414213699951, abs=1e-9)
@@ -53,23 +59,22 @@ class TestGateTopk:
     def test_k_equals_n_is_full_softmax(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(5, 6)))
-        gate = Tensor(rng.normal(size=(6, 4)))
-        dec = gate_topk(x, gate, k=4)
-        full = np.exp(x.data @ gate.data)
+        layer = make_layer(rng, d=6, n_experts=4)
+        _, dec = moe_forward_infer(x, layer, k=4)
+        full = np.exp(x.data @ layer.gate.data)
         full /= full.sum(axis=-1, keepdims=True)
-        got = np.take_along_axis(np.zeros_like(full), dec.indices, axis=-1)
         for row in range(5):
             for slot in range(4):
                 assert dec.weights[row, slot] == pytest.approx(full[row, dec.indices[row, slot]], abs=1e-8)
 
     def test_tie_breaks_to_lowest_index(self):
-        dec = gate_topk(Tensor(np.array([5.0, 5.0, 0.0])), Tensor(np.eye(3)), k=1)
+        _, dec = moe_forward_infer(Tensor(np.array([[5.0, 5.0, 0.0]])), identity_gate_layer(3), k=1)
         assert dec.indices.tolist() == [[0]]
         assert dec.weights[0, 0] == pytest.approx(1.0)
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            gate_topk(Tensor(np.zeros(3)), Tensor(np.eye(3)), k=4)
+            moe_forward_infer(Tensor(np.zeros((1, 3))), identity_gate_layer(3), k=4)
 
 
 class TestInferForward:
@@ -100,20 +105,13 @@ class TestInferForward:
         dense = sum(w[:, e:e + 1] * swiglu_reference(x.data, layer.experts[e]) for e in range(4))
         assert np.abs(y.data - dense).max() < 1e-6
 
-    def test_single_token_vector_input(self):
-        rng = np.random.default_rng(4)
-        layer = make_layer(rng)
-        y, dec = moe_forward_infer(Tensor(rng.normal(size=6)), layer, k=2)
-        assert y.data.shape == (6,)
-        assert dec.indices.shape == (1, 2)
-
 
 class TestTaskForward:
     def test_pair_weights_from_derived_oracle(self):
         # identity gate makes logits equal to x: pair is (task=1: 0.5, top1=0: 3.0)
         layer = make_layer(np.random.default_rng(5), d=4, n_experts=4)
         layer.gate = Tensor(np.eye(4), requires_grad=True)
-        x = Tensor(np.array([3.0, 0.5, 2.0, 1.0]))
+        x = Tensor(np.array([[3.0, 0.5, 2.0, 1.0]]))
         _, dec = moe_forward_task(x, layer, task_expert=1)
         assert dec.indices.tolist() == [[1, 0]]
         assert dec.weights[0, 0] == pytest.approx(0.07585818002124355, abs=1e-9)
@@ -123,37 +121,60 @@ class TestTaskForward:
     def test_task_expert_equals_argmax_picks_second_best(self):
         layer = make_layer(np.random.default_rng(6), d=4, n_experts=4)
         layer.gate = Tensor(np.eye(4), requires_grad=True)
-        _, dec = moe_forward_task(Tensor(np.array([3.0, 0.5, 2.0, 1.0])), layer, task_expert=0)
+        _, dec = moe_forward_task(Tensor(np.array([[3.0, 0.5, 2.0, 1.0]])), layer, task_expert=0)
         assert dec.indices.tolist() == [[0, 2]]
 
     def test_all_equal_logits_tie_to_lowest(self):
         layer = make_layer(np.random.default_rng(7), d=4, n_experts=4)
         layer.gate = Tensor(np.eye(4), requires_grad=True)
-        _, dec = moe_forward_task(Tensor(np.zeros(4)), layer, task_expert=2)
+        _, dec = moe_forward_task(Tensor(np.zeros((1, 4))), layer, task_expert=2)
         assert dec.indices.tolist() == [[2, 0]]
         assert np.allclose(dec.weights, [[0.5, 0.5]])
 
     def test_rejects_single_expert(self):
         layer = make_layer(np.random.default_rng(8), n_experts=1)
         with pytest.raises(ValueError, match="2 experts"):
-            moe_forward_task(Tensor(np.zeros(6)), layer, task_expert=0)
+            moe_forward_task(Tensor(np.zeros((1, 6))), layer, task_expert=0)
 
     def test_rejects_bad_expert_id(self):
         layer = make_layer(np.random.default_rng(9), n_experts=3)
         with pytest.raises(ValueError, match="out of range"):
-            moe_forward_task(Tensor(np.zeros(6)), layer, task_expert=3)
+            moe_forward_task(Tensor(np.zeros((1, 6))), layer, task_expert=3)
 
-    def test_unnormalized_pair_flag(self):
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_selection_matches_bruteforce_oracle(self, dtype):
+        # small integer gates and inputs give integer logits, so ties are common
         rng = np.random.default_rng(10)
-        layer = make_layer(rng, n_experts=4)
-        x = Tensor(rng.normal(size=(3, 6)))
-        _, dec = moe_forward_task(x, layer, task_expert=2, renormalize_pair=False)
-        logits = x.data @ layer.gate.data
-        full = np.exp(logits - logits.max(axis=-1, keepdims=True))
-        full /= full.sum(axis=-1, keepdims=True)
-        got = np.take_along_axis(full, dec.indices, axis=-1)
-        assert np.allclose(dec.weights, got, atol=1e-8)
-        assert (dec.weights.sum(axis=-1) < 1.0).all()
+        n, d, n_experts = 300, 5, 4
+        layer = make_layer(rng, d=d, n_experts=n_experts, dtype=dtype)
+        layer.gate = Tensor(rng.integers(-1, 2, size=(d, n_experts)).astype(dtype),
+                            requires_grad=True)
+        x = Tensor(rng.integers(-2, 3, size=(n, d)).astype(dtype))
+        tasks = rng.integers(0, n_experts, size=n)
+        y, dec = moe_forward_task(x, layer, tasks)
+
+        logits = x.data.astype(np.float64) @ layer.gate.data.astype(np.float64)
+        ties = 0
+        for row in range(n):
+            forced = int(tasks[row])
+            others = [e for e in range(n_experts) if e != forced]
+            top = max(logits[row, e] for e in others)
+            best = min(e for e in others if logits[row, e] == top)  # lowest index wins
+            ties += sum(logits[row, e] == top for e in others) > 1
+            assert dec.indices[row].tolist() == [forced, best]
+            w_forced = 1.0 / (1.0 + np.exp(logits[row, best] - logits[row, forced]))
+            assert dec.weights[row, 0] == pytest.approx(w_forced, abs=1e-6)
+            assert dec.weights[row, 1] == pytest.approx(1.0 - w_forced, abs=1e-6)
+        assert ties > n // 10
+        assert dec.task_forced.tolist() == tasks.tolist()
+        xs = x.data.astype(np.float64)
+        expected = np.zeros((n, d))
+        for slot in range(2):
+            for e in range(n_experts):
+                rows = dec.indices[:, slot] == e
+                expected[rows] += dec.weights[rows, slot:slot + 1] * swiglu_reference(
+                    xs[rows], layer.experts[e])
+        assert np.abs(y.data - expected).max() < (1e-4 if dtype == np.float32 else 1e-9)
 
 
 class TestRoutingInvariants:
@@ -214,9 +235,9 @@ class TestRouteStats:
 
     def test_uniform_routing_monte_carlo(self):
         rng = np.random.default_rng(14)
-        gate = Tensor(np.eye(4))
+        layer = identity_gate_layer(4)
         x = Tensor(rng.normal(size=(10_000, 4)))
-        dec = gate_topk(x, gate, k=2)
+        _, dec = moe_forward_infer(x, layer, k=2)
         report = collect_route_stats([("t", dec)], n_experts=4)
         sigma = np.sqrt(0.5 * 0.5 / 10_000)
         for e in range(4):
@@ -233,7 +254,7 @@ class TestRouteStats:
 
     def test_empty_stream_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            collect_route_stats([])
+            collect_route_stats([], n_experts=4)
 
     def test_csv_format(self):
         dec = RoutingDecision(indices=np.array([[0, 1]]), weights=np.array([[0.6, 0.4]]))

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -388,7 +391,27 @@ class TestCheckpoint:
             assert np.array_equal(ckpt.opt.m[name], back.opt.m[name])
             assert np.array_equal(ckpt.opt.v[name], back.opt.v[name])
         assert back.expert_map == ckpt.expert_map
-        assert back.rng.bit_generator.state == ckpt.rng.bit_generator.state
+
+    def test_loads_header_with_legacy_rng_state(self, tmp_path):
+        # checkpoints written before the unused RNG state was dropped carry it
+        ckpt, registry, tok = make_setup(seed=12)
+        path = tmp_path / "m.ck"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + header_len])
+        assert "rng_state" not in header
+        header["rng_state"] = np.random.default_rng(0).bit_generator.state
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        legacy = tmp_path / "legacy.ck"
+        legacy.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len:])
+        back = load_checkpoint(legacy)
+        for (na, ta), (nb, tb) in zip(ckpt.named_params(), back.named_params()):
+            assert na == nb
+            assert np.array_equal(ta.data, tb.data)
+        resaved = tmp_path / "resaved.ck"
+        save_checkpoint(back, resaved)
+        assert resaved.read_bytes() == raw
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ck"
@@ -444,7 +467,8 @@ class TestRouteStats:
     def test_fractions_sum_to_top_k(self):
         ckpt, registry, tok = make_setup(seed=15)
         samples = make_dataset(registry, n=2)
-        report = route_stats_over(ckpt, samples)
+        report, skipped = route_stats_over(ckpt, samples)
+        assert skipped == 0
         for task in report.tasks:
             total = sum(report.fraction(task, e) for e in range(4))
             assert total == pytest.approx(ckpt.config.top_k, abs=1e-9)
