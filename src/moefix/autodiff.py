@@ -373,29 +373,6 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     return _node(out, (x,), bwd)
 
 
-def take_at(x: Tensor, rows: np.ndarray, cols: np.ndarray) -> Tensor:
-    """Gather individual (row, col) entries of a matrix into a vector."""
-    out = x.data[rows, cols]
-
-    def bwd(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, cols), g)
-        return (gx,)
-
-    return _node(out, (x,), bwd)
-
-
-def index_add(n_rows: int, idx: np.ndarray, values: Tensor) -> Tensor:
-    """Scatter ``values`` rows into a fresh zero matrix of ``n_rows`` rows."""
-    out = np.zeros((n_rows,) + values.data.shape[1:], dtype=values.data.dtype)
-    np.add.at(out, idx, values.data)
-
-    def bwd(g):
-        return (g[idx],)
-
-    return _node(out, (values,), bwd)
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray, loss_mask: np.ndarray | None = None) -> Tensor:
     """Mean negative log-likelihood of ``targets`` over unmasked positions.
 

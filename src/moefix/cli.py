@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 
 class ConfigError(ValueError):
@@ -212,6 +212,10 @@ def cmd_train(args) -> int:
 
     if args.resume:
         ckpt = load_checkpoint(args.resume)
+        # the run continues with the checkpoint's settings, so record those
+        model_fields = ckpt.config.to_dict()
+        del model_fields["vocab_size"]
+        cfg = replace(cfg, **model_fields, **ckpt.train_config.to_dict(), precision=ckpt.dtype)
     else:
         model_cfg = ModelConfig(
             vocab_size=tokenizer.vocab_size, d_model=cfg.d_model, n_layers=cfg.n_layers,

@@ -224,6 +224,7 @@ def forward(
     top_k: int | None = None,
     aux_out: list | None = None,
     cache: KVCache | None = None,
+    lengths: np.ndarray | None = None,
 ) -> tuple[Tensor, list[RoutingDecision]]:
     """Next-token logits [.., T, vocab] plus one RoutingDecision per layer.
 
@@ -232,6 +233,12 @@ def forward(
     routing is plain top-K and any task argument is ignored. With a ``cache``
     (infer mode only), ``tokens`` continue the cached prefix, whose keys and
     values they attend to, and the cache grows by T positions.
+
+    ``lengths`` (one per sequence; None: all T) marks the first positions of
+    each row as real and the rest as right padding. Pad positions are never
+    routed: their MoE output is zero and the decisions hold one row per real
+    token, in row-major order. Under causal attention a pad position reaches
+    no real one, so the real positions' logits do not depend on it.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -246,6 +253,8 @@ def forward(
 
     x = ad.take(params.embedding, ids)
     d = config.d_model
+    rows = None if lengths is None else np.flatnonzero(
+        np.arange(t)[None, :] < np.asarray(lengths).reshape(b, 1))
     decisions: list[RoutingDecision] = []
     for i, layer in enumerate(params.layers):
         x = ad.add(x, causal_attention(ad.rms_norm(x, layer.attn_norm, config.rms_eps),
@@ -253,11 +262,12 @@ def forward(
         flat = ad.reshape(ad.rms_norm(x, layer.ffn_norm, config.rms_eps), (b * t, d))
         if mode == "train":
             per_seq = np.broadcast_to(np.asarray(task_experts, dtype=np.int64), (b,))
-            y, decision = moe_forward_task(flat, layer.moe, np.repeat(per_seq, t))
+            y, decision = moe_forward_task(flat, layer.moe, np.repeat(per_seq, t), rows=rows)
         else:
-            y, decision = moe_forward_infer(flat, layer.moe, top_k or config.top_k)
+            y, decision = moe_forward_infer(flat, layer.moe, top_k or config.top_k, rows=rows)
         if aux_out is not None:
-            aux_out.append(load_balance_aux(flat, layer.moe.gate, decision))
+            routed = flat if rows is None else ad.take(flat, rows)
+            aux_out.append(load_balance_aux(routed, layer.moe.gate, decision))
         decisions.append(decision)
         x = ad.add(x, ad.reshape(y, (b, t, d)))
 

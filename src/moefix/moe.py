@@ -42,11 +42,12 @@ class MoeLayerParams:
 @dataclass
 class RoutingDecision:
     """Per-token selection record: expert ids, their normalized weights, and
-    the forced expert id when the task route was applied (None in inference)."""
+    the forced expert id when the task route was applied (None in inference).
+    There is one row per routed token, so pad positions have none."""
 
-    indices: np.ndarray   # [T, K] int
-    weights: np.ndarray   # [T, K] float, each row sums to 1
-    task_forced: np.ndarray | None = None  # [T] int
+    indices: np.ndarray   # [n, K] int
+    weights: np.ndarray   # [n, K] float, each row sums to 1
+    task_forced: np.ndarray | None = None  # [n] int
 
 
 def swiglu_ffn(x: Tensor, expert: ExpertParams) -> Tensor:
@@ -67,54 +68,124 @@ def _topk(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, sel
 
 
-def _mix(x: Tensor, params: MoeLayerParams, weights: Tensor, sel: np.ndarray) -> Tensor:
-    """y = sum over selected experts of weight * expert(x), evaluated sparsely."""
-    n = x.data.shape[0]
-    out: Tensor | None = None
-    for e, expert in enumerate(params.experts):
-        rows = np.flatnonzero(sel[:, e])
-        if rows.size == 0:
+def _dispatch(x: Tensor, experts: list[ExpertParams], w: Tensor, idx: np.ndarray,
+              rows: np.ndarray | None) -> Tensor:
+    """Dropless sorted dispatch: ``out[rows[i]] = sum_j w[i, idx[i, j]] *
+    expert_idx[i, j](x[rows[i]])``; rows not routed get zero.
+
+    One stable argsort orders the n*K (row, slot) pairs by expert, so each
+    expert runs once on a contiguous block of its rows, in token order. The
+    combine is the inverse permutation, a reshape to [n, K, d] and a sum over
+    K, so neither pass scatter-adds. ``rows`` None routes every row of ``x``.
+    """
+    n, k = idx.shape
+    d = x.data.shape[1]
+    slot_expert = idx.ravel()
+    order = np.argsort(slot_expert, kind="stable")
+    bounds = np.searchsorted(slot_expert[order], np.arange(len(experts) + 1))
+    src = order // k if rows is None else rows[order // k]
+    xs = x.data[src]  # [n*K, d], grouped by expert
+    w_sel = np.take_along_axis(w.data, idx, axis=1)  # [n, K]
+    ys = np.empty((n * k, d), dtype=xs.dtype)
+    saved = []
+    for e, expert in enumerate(experts):
+        lo, hi = bounds[e], bounds[e + 1]
+        if lo == hi:
+            saved.append(None)
             continue
-        xe = ad.take(x, rows)
-        ye = swiglu_ffn(xe, expert)
-        we = ad.reshape(ad.take_at(weights, rows, np.full(rows.size, e)), (rows.size, 1))
-        contrib = ad.index_add(n, rows, ad.mul(ye, we))
-        out = contrib if out is None else ad.add(out, contrib)
-    assert out is not None
-    return out
+        h_gate = xs[lo:hi] @ expert.gate_proj.data
+        h_up = xs[lo:hi] @ expert.up.data
+        sig = 1.0 / (1.0 + np.exp(-h_gate))
+        ys[lo:hi] = (h_gate * sig * h_up) @ expert.down.data
+        saved.append((h_gate, h_up, sig))  # the products are recomputed: less to hold
+    y = np.empty_like(ys)
+    y[order] = ys
+    y = y.reshape(n, k, d)
+    mixed = (y * w_sel[:, :, None]).sum(axis=1)
+    if rows is None:
+        out = mixed
+    else:
+        out = np.zeros((x.data.shape[0], d), dtype=mixed.dtype)
+        out[rows] = mixed
+
+    def bwd(g):
+        g_rows = g if rows is None else g[rows]
+        g_sel = (g_rows[:, None, :] * y).sum(axis=-1)
+        g_w = np.zeros_like(w.data)
+        np.put_along_axis(g_w, idx, g_sel, axis=1)
+        g_ys = (g_rows[:, None, :] * w_sel[:, :, None]).reshape(n * k, d)[order]
+        g_xs = np.empty_like(xs)
+        g_params = []
+        for e, expert in enumerate(experts):
+            if saved[e] is None:
+                g_params += [None, None, None]
+                continue
+            lo, hi = bounds[e], bounds[e + 1]
+            h_gate, h_up, sig = saved[e]
+            act = h_gate * sig
+            gated = act * h_up
+            g_gated = g_ys[lo:hi] @ expert.down.data.T
+            g_h_up = g_gated * act
+            g_h_gate = (g_gated * h_up) * (sig * (1.0 + h_gate * (1.0 - sig)))
+            g_xs[lo:hi] = g_h_up @ expert.up.data.T + g_h_gate @ expert.gate_proj.data.T
+            g_params += [xs[lo:hi].T @ g_h_up, xs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
+        g_slots = np.empty_like(g_xs)
+        g_slots[order] = g_xs
+        g_mixed = g_slots.reshape(n, k, d).sum(axis=1)
+        if rows is None:
+            g_x = g_mixed
+        else:
+            g_x = np.zeros_like(x.data)
+            g_x[rows] = g_mixed
+        return (g_x, g_w, *g_params)
+
+    params = tuple(t for ex in experts for t in (ex.up, ex.gate_proj, ex.down))
+    return ad._node(out, (x, w) + params, bwd)
 
 
-def _route(x: Tensor, params: MoeLayerParams, k: int,
-           forced: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
+def _route(x: Tensor, params: MoeLayerParams, k: int, forced: np.ndarray | None = None,
+           rows: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
     """Route token rows [N, d] to k experts each and mix their outputs.
 
-    The experts are the top-k gate logits of each row; a row's ``forced``
-    expert, if given, ranks first (its logit counts as +inf for the selection
-    only). Ties go to the lowest index. The weights are the softmax over the
-    selected logits; unselected experts are never evaluated.
+    Only ``rows`` (default: all) are routed; the others get a zero output and
+    no decision row. The experts are the top-k gate logits of each routed row;
+    its ``forced`` expert (one id per routed row), if given, ranks first (its
+    logit counts as +inf for the selection only). Ties go to the lowest index.
+    The weights are the softmax over the selected logits; unselected experts
+    are never evaluated.
     """
     logits = ad.matmul(x, params.gate)
+    if rows is not None:
+        logits = ad.take(logits, rows)
     ranked = logits.data
     if forced is not None:
         ranked = ranked.copy()
         ranked[np.arange(forced.size), forced] = np.inf
     idx, sel = _topk(ranked, k)
     w = ad.softmax(logits, mask=sel)
-    y = _mix(x, params, w, sel)
+    y = _dispatch(x, params.experts, w, idx, rows)
     weights = np.take_along_axis(w.data, idx, axis=-1)
     return y, RoutingDecision(indices=idx, weights=weights, task_forced=forced)
 
 
-def moe_forward_infer(x: Tensor, params: MoeLayerParams, k: int = 2) -> tuple[Tensor, RoutingDecision]:
-    """Inference mixing: plain top-k. Task-agnostic by construction."""
-    return _route(x, params, k)
+def moe_forward_infer(x: Tensor, params: MoeLayerParams, k: int = 2,
+                      rows: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
+    """Inference mixing: plain top-k. Task-agnostic by construction.
+
+    ``rows`` (default: all) are the token rows to route; the rest, such as
+    padding, get a zero output and no decision row.
+    """
+    return _route(x, params, k, rows=rows)
 
 
-def moe_forward_task(x: Tensor, params: MoeLayerParams, task_expert) -> tuple[Tensor, RoutingDecision]:
+def moe_forward_task(x: Tensor, params: MoeLayerParams, task_expert,
+                     rows: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
     """Training mixing: the task-mapped expert plus the best remaining expert,
     weighted by the softmax over the two selected logits.
 
-    ``task_expert`` is an expert index (scalar, or one per token row).
+    ``task_expert`` is an expert index (scalar, or one per token row of
+    ``x``). ``rows`` (default: all) are the token rows to route, as in
+    ``moe_forward_infer``.
     """
     n_experts = len(params.experts)
     if n_experts < 2:
@@ -122,13 +193,14 @@ def moe_forward_task(x: Tensor, params: MoeLayerParams, task_expert) -> tuple[Te
     forced = np.array(np.broadcast_to(np.asarray(task_expert, dtype=np.int64), (x.data.shape[0],)))
     if forced.min() < 0 or forced.max() >= n_experts:
         raise ValueError(f"task expert id out of range [0, {n_experts})")
-    return _route(x, params, 2, forced)
+    return _route(x, params, 2, forced if rows is None else forced[rows], rows)
 
 
 def load_balance_aux(x: Tensor, gate: Tensor, decision: RoutingDecision) -> Tensor:
     """Optional load-balancing penalty: n_e * sum_e f_e * mean_prob_e, where
     f_e is the share of selections routed to expert e. Equals 1 under
-    perfectly uniform routing; off by default (coefficient 0)."""
+    perfectly uniform routing; off by default (coefficient 0). ``x`` holds
+    the routed token rows, one per row of ``decision``."""
     n_e = gate.shape[-1]
     probs = ad.softmax(ad.matmul(x, gate))
     f = np.bincount(decision.indices.ravel(), minlength=n_e).astype(probs.data.dtype)

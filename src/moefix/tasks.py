@@ -87,14 +87,9 @@ def build_expert_map(tasks, n_experts: int, seed: int) -> ExpertMap:
     return ExpertMap(tuple(int(e) for e in chosen), seed)
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    instruction: str = "correct:"
-    hyp_sep: str = "<hyp>"
-    target_sep: str = "<out>"
-
-
-DEFAULT_TEMPLATE = PromptTemplate()
+INSTRUCTION = "correct:"
+HYP_SEP = "<hyp>"
+TARGET_SEP = "<out>"
 
 
 def format_prompt(
@@ -102,7 +97,6 @@ def format_prompt(
     task: TaskId,
     hypotheses,
     target: str | None = None,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
     max_hypotheses: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Token ids and loss mask for one correction sample.
@@ -117,12 +111,12 @@ def format_prompt(
     if max_hypotheses is not None and len(hypotheses) > max_hypotheses:
         raise ValueError(f"{len(hypotheses)} hypotheses exceed the configured n-best {max_hypotheses}")
     ids: list[int] = [tokenizer.special_id(TaskRegistry.tag(task))]
-    ids.extend(tokenizer.encode(template.instruction))
-    hyp_sep = tokenizer.special_id(template.hyp_sep)
+    ids.extend(tokenizer.encode(INSTRUCTION))
+    hyp_sep = tokenizer.special_id(HYP_SEP)
     for hyp in hypotheses:
         ids.append(hyp_sep)
         ids.extend(tokenizer.encode(hyp))
-    ids.append(tokenizer.special_id(template.target_sep))
+    ids.append(tokenizer.special_id(TARGET_SEP))
     mask = [False] * len(ids)
     if target is not None:
         target_ids = tokenizer.encode(target)

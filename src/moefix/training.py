@@ -7,6 +7,7 @@ replays the exact uninterrupted trajectory.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 
@@ -154,8 +155,11 @@ def build_schedule(lengths, epochs: int, batch_size_tokens: int, seed: int) -> l
 
 
 def make_batch_arrays(batch: list[EncodedSample], pad_id: int):
-    """Pad to the longest sequence; targets are the next-token shift and the
-    loss mask marks positions whose *target* is a target-span token."""
+    """Right-pad to the longest sequence; targets are the next-token shift and
+    the loss mask marks positions whose *target* is a target-span token.
+
+    Returns (ids, targets, mask, task_experts, lengths), lengths being each
+    row's real token count."""
     b = len(batch)
     t = max(len(s.ids) for s in batch)
     ids = np.full((b, t), pad_id, dtype=np.int64)
@@ -167,25 +171,28 @@ def make_batch_arrays(batch: list[EncodedSample], pad_id: int):
         targets[i, :n - 1] = s.ids[1:]
         mask[i, :n - 1] = s.mask[1:]
     task_experts = np.array([s.task_expert for s in batch], dtype=np.int64)
-    return ids, targets, mask, task_experts
+    lengths = np.array([len(s.ids) for s in batch], dtype=np.int64)
+    return ids, targets, mask, task_experts, lengths
 
 
 def nll_loss(params: TransformerParams, config: ModelConfig, batch_arrays,
              task_routing: bool = True, aux_coeff: float = 0.0):
     """Mean NLL over target tokens; train-mode forced routing unless ablated.
 
-    Returns (loss Tensor, per-layer RoutingDecisions, non-pad token mask).
+    Pad positions are not routed, so each RoutingDecision has one row per
+    real token. Returns (loss Tensor, per-layer RoutingDecisions).
     """
-    ids, targets, mask, task_experts = batch_arrays
+    ids, targets, mask, task_experts, lengths = batch_arrays
     if ids.shape[0] == 0:
         raise ValueError("empty batch")
     aux_terms: list | None = [] if aux_coeff > 0 else None
     if task_routing:
         logits, decisions = forward(params, config, ids, mode="train",
-                                    task_experts=task_experts, aux_out=aux_terms)
+                                    task_experts=task_experts, aux_out=aux_terms,
+                                    lengths=lengths)
     else:
         logits, decisions = forward(params, config, ids, mode="infer", top_k=2,
-                                    aux_out=aux_terms)
+                                    aux_out=aux_terms, lengths=lengths)
     flat = ad.reshape(logits, (ids.size, config.vocab_size))
     loss = ad.cross_entropy(flat, targets.ravel(), mask.ravel())
     if aux_terms:
@@ -273,6 +280,9 @@ def _read_tensor(fh) -> tuple[str, np.ndarray]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
+    """Write ``path`` atomically: the bytes go to a temporary file in the same
+    directory, which is fsynced and then renamed over ``path``. A write that
+    fails part way leaves any earlier file at ``path`` as it was."""
     entries = [(name, t.data) for name, t in ckpt.named_params()]
     entries += [(f"opt.m.{name}", ckpt.opt.m[name]) for name in ckpt.opt.m]
     entries += [(f"opt.v.{name}", ckpt.opt.v[name]) for name in ckpt.opt.v]
@@ -289,16 +299,40 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "n_tensors": len(entries),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for name, arr in entries:
-            _write_tensor(fh, name, arr)
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for name, arr in entries:
+                _write_tensor(fh, name, arr)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+_HEADER_KEYS = ("model_config", "dtype", "tasks", "alphabet", "expert_map", "train_config",
+                "step", "total_steps", "adam_t", "n_tensors")
+
+
+def _config_from(path, cls, values: dict):
+    try:
+        return cls(**values)
+    except TypeError as exc:  # an unknown or missing field
+        raise CheckpointError(f"{path}: bad {cls.__name__} in header: {exc}") from None
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by ``save_checkpoint``. Raises CheckpointError,
+    naming the file, for a bad magic or version, a malformed or incomplete
+    header, a missing, misshapen or truncated tensor, or bytes after the last
+    tensor."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -310,9 +344,16 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: malformed header: {exc}") from None
+        missing = [key for key in _HEADER_KEYS if key not in header]
+        if missing:
+            raise CheckpointError(f"{path}: header is missing {', '.join(missing)}")
         tensors = dict(_read_tensor(fh) for _ in range(header["n_tensors"]))
+        if fh.read(1):
+            raise CheckpointError(f"{path}: unexpected bytes after the last of "
+                                  f"{header['n_tensors']} tensors")
 
-    config = ModelConfig(**header["model_config"])
+    config = _config_from(path, ModelConfig, header["model_config"])
+    train_config = _config_from(path, TrainConfig, header["train_config"])
     dtype = header["dtype"]
     registry = TaskRegistry(header["tasks"])
     tokenizer = Tokenizer(header["tasks"], alphabet=header["alphabet"])
@@ -335,7 +376,7 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         config=config, dtype=dtype, params=params, registry=registry,
         tokenizer=tokenizer, expert_map=ExpertMap.from_dict(header["expert_map"]),
-        train_config=TrainConfig(**header["train_config"]), opt=opt,
+        train_config=train_config, opt=opt,
         step=int(header["step"]), total_steps=int(header["total_steps"]),
     )
 
@@ -403,13 +444,10 @@ def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
         adamw_step(named, ckpt.opt, lr, cfg)
         ckpt.step = step + 1
 
-        valid = (arrays[0] != pad_id).ravel()
-        loads = np.zeros(n_experts, dtype=np.int64)
-        for d in decisions:
-            np.add.at(loads, d.indices[valid].ravel(), 1)
+        loads = sum(np.bincount(d.indices.ravel(), minlength=n_experts) for d in decisions)
         loads = loads / max(loads.sum(), 1)
         row = {"step": step, "loss": loss_value, "lr": lr, "grad_norm": grad_norm,
-               "tokens": int(valid.sum())}
+               "tokens": int(arrays[4].sum())}
         row.update({f"expert_load_{e}": float(loads[e]) for e in range(n_experts)})
         rows.append(row)
         if on_step is not None:

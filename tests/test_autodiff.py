@@ -293,19 +293,6 @@ def _case_take(rng):
     return [x], lambda: ad.take(x, idx)
 
 
-def _case_take_at(rng):
-    x = _rand(rng, 4, 6)
-    rows = rng.integers(0, 4, size=5)
-    cols = rng.integers(0, 6, size=5)
-    return [x], lambda: ad.take_at(x, rows, cols)
-
-
-def _case_index_add(rng):
-    v = _rand(rng, 4, 3)
-    idx = rng.integers(0, 6, size=4)
-    return [v], lambda: ad.index_add(6, idx, v)
-
-
 def _case_cross_entropy(rng):
     x = _rand(rng, 4, 6)
     targets = rng.integers(0, 6, size=4)
@@ -328,8 +315,6 @@ OP_CASES = {
     "rms_norm": _case_rms_norm,
     "rope": _case_rope,
     "take": _case_take,
-    "take_at": _case_take_at,
-    "index_add": _case_index_add,
     "cross_entropy": _case_cross_entropy,
 }
 

@@ -200,6 +200,28 @@ class TestTrain:
         assert [int(row.split(",")[0]) for row in lines[1:]] == list(range(total))
         assert lines == uninterrupted
 
+    def test_resume_records_the_checkpoint_config(self, tiny_config, tmp_path):
+        data = tmp_path / "data.jsonl"
+        run_cli("--config", tiny_config, "gen-data", "--out", str(data))
+        cfg_interval = tmp_path / "cfg_interval.cfg"
+        cfg_interval.write_text(TINY + "checkpoint_interval = 3\n")
+        first = tmp_path / "first"
+        assert run_cli("--config", str(cfg_interval), "train", "--data", str(data),
+                       "--out-dir", str(first)) == 0
+        other = tmp_path / "other.cfg"
+        other.write_text(TINY.replace("d_model = 8", "d_model = 16")
+                         .replace("learning_rate = 2e-3", "learning_rate = 9e-3"))
+        resumed = tmp_path / "resumed"
+        assert run_cli("--config", str(other), "--precision", "f64", "train", "--data", str(data),
+                       "--out-dir", str(resumed),
+                       "--resume", str(first / "checkpoint_000003.ck")) == 0
+        ckpt = tr.load_checkpoint(resumed / "model.ck")
+        assert ckpt.config.d_model == 8 and ckpt.train_config.learning_rate == 2e-3
+        lines = (resumed / "config.resolved").read_text().splitlines()
+        assert "d_model = 8" in lines
+        assert "learning_rate = 0.002" in lines
+        assert f"precision = {ckpt.dtype}" in lines and ckpt.dtype == "f32"
+
     def test_malformed_dataset_reports_line(self, tiny_config, tmp_path, capsys):
         data = tmp_path / "broken.jsonl"
         data.write_text('{"task": "asr", "hypotheses": ["a"], "target": "a", "seed": 1}\n{oops\n')

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moefix import autodiff as ad
+from moefix import model
 from moefix.autodiff import Tensor
 from moefix.model import (
     KVCache,
@@ -16,7 +17,7 @@ from moefix.model import (
     parameters,
     rope_tables,
 )
-from moefix.moe import swiglu_ffn
+from moefix.moe import RoutingDecision, swiglu_ffn
 
 
 def tiny_config(**overrides):
@@ -154,6 +155,43 @@ class TestForward:
             assert d.task_forced is not None
             forced = d.task_forced.reshape(2, 6)
             assert (forced[0] == 1).all() and (forced[1] == 2).all()
+
+    @pytest.mark.parametrize("mode", ["train", "infer"])
+    def test_pad_positions_are_not_routed(self, mode, monkeypatch):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=15, dtype="f64")
+        rng = np.random.default_rng(4)
+        long, short = rng.integers(0, cfg.vocab_size, size=9), rng.integers(0, cfg.vocab_size, size=5)
+        tokens = np.zeros((2, 9), dtype=np.int64)
+        tokens[0], tokens[1, :5] = long, short
+        seen = []  # (routed rows, decision) of each load_balance_aux call
+        real_aux = model.load_balance_aux
+
+        def spy(x, gate, decision):
+            seen.append((x.data, decision))
+            return real_aux(x, gate, decision)
+
+        monkeypatch.setattr(model, "load_balance_aux", spy)
+        aux = []
+        logits, decisions = forward(params, cfg, tokens, mode=mode, task_experts=[0, 2],
+                                    aux_out=aux, lengths=np.array([9, 5]))
+        assert all(d.indices.shape[0] == 14 for d in decisions)
+        if mode == "train":
+            assert all(d.task_forced.tolist() == [0] * 9 + [2] * 5 for d in decisions)
+        batch_seen, seen[:] = seen[:], []
+        alone = [forward(params, cfg, seq, mode=mode, task_experts=e, aux_out=[])
+                 for seq, e in ((long, 0), (short, 2))]
+        assert np.allclose(logits.data[0], alone[0][0].data, rtol=1e-12, atol=1e-12)
+        assert np.allclose(logits.data[1, :5], alone[1][0].data, rtol=1e-12, atol=1e-12)
+        for i, layer in enumerate(params.layers):
+            # the same real rows, routed without pads
+            x_real = np.concatenate([seen[i][0], seen[cfg.n_layers + i][0]])
+            idx = np.concatenate([seen[i][1].indices, seen[cfg.n_layers + i][1].indices])
+            assert np.array_equal(decisions[i].indices, idx)
+            assert np.allclose(batch_seen[i][0], x_real, rtol=1e-12, atol=1e-12)
+            expected = real_aux(Tensor(x_real), layer.moe.gate,
+                                RoutingDecision(indices=idx, weights=np.ones(idx.shape)))
+            assert float(aux[i].data) == pytest.approx(float(expected.data), rel=1e-12)
 
     def test_causality(self):
         cfg = tiny_config()

@@ -13,7 +13,7 @@ from moefix.moe import (
     swiglu_ffn,
 )
 
-from helpers import finite_difference_grad, max_rel_err
+from helpers import finite_difference_grad, gradcheck, max_rel_err
 
 
 def make_layer(rng, d=6, d_ff=8, n_experts=4, dtype=np.float64, tie_experts=False):
@@ -223,6 +223,54 @@ class TestRoutingInvariants:
         numeric = finite_difference_grad(lambda: loss_value(), layer.gate.data)
         assert layer.gate.grad is not None
         assert max_rel_err(layer.gate.grad, numeric) <= 1e-4
+
+
+class TestDispatchGradients:
+    """Finite-difference checks of the dispatch node through both routes: the
+    input rows, the gate and every expert's three matrices."""
+
+    N_ROWS = 6
+    ROWS = {"all": None, "subset": np.array([0, 2, 3, 5]), "one_row": np.array([4])}
+
+    @staticmethod
+    def _route(name, x, layer, rows):
+        if name == "infer":
+            return moe_forward_infer(x, layer, k=2, rows=rows)
+        tasks = np.array([1, 0, 3, 2, 1, 0])
+        return moe_forward_task(x, layer, tasks, rows=rows)
+
+    @pytest.mark.parametrize("route", ["infer", "task"])
+    @pytest.mark.parametrize("case", sorted(ROWS))
+    def test_gradcheck(self, route, case):
+        rng = np.random.default_rng(16)
+        layer = make_layer(rng, d=5, d_ff=4, n_experts=4)
+        x = Tensor(rng.normal(size=(self.N_ROWS, 5)), requires_grad=True)
+        proj = Tensor(rng.normal(size=(self.N_ROWS, 5)))
+        rows = self.ROWS[case]
+        _, dec = self._route(route, x, layer, rows)
+        n_routed = self.N_ROWS if rows is None else rows.size
+        assert dec.indices.shape == (n_routed, 2)
+        idle = set(range(4)) - set(dec.indices.ravel().tolist())
+        assert bool(idle) == (case == "one_row")  # an expert with no rows
+        params = [x, layer.gate] + [t for ex in layer.experts
+                                    for t in (ex.up, ex.gate_proj, ex.down)]
+        gradcheck(lambda: ad.sum_(ad.mul(self._route(route, x, layer, rows)[0], proj)), params)
+        for e in idle:
+            assert layer.experts[e].up.grad is None
+
+    @pytest.mark.parametrize("route", ["infer", "task"])
+    def test_unrouted_rows_get_zero_output_and_routed_rows_match_all(self, route):
+        rng = np.random.default_rng(17)
+        layer = make_layer(rng, d=5, d_ff=4, n_experts=4)
+        x = Tensor(rng.normal(size=(self.N_ROWS, 5)))
+        rows = self.ROWS["subset"]
+        y_all, dec_all = self._route(route, x, layer, None)
+        y_sub, dec_sub = self._route(route, x, layer, rows)
+        # BLAS may round a row differently in a smaller matrix product
+        assert np.allclose(y_sub.data[rows], y_all.data[rows], rtol=1e-12, atol=1e-14)
+        assert not np.delete(y_sub.data, rows, axis=0).any()
+        assert np.array_equal(dec_sub.indices, dec_all.indices[rows])
+        assert np.array_equal(dec_sub.weights, dec_all.weights[rows])
 
 
 class TestRouteStats:

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -159,7 +160,7 @@ class TestBatching:
         samples = make_dataset(registry, n=1)
         encoded, _ = encode_samples(samples, tok, ckpt.expert_map, 192)
         s = encoded[0]
-        ids, targets, mask, experts = make_batch_arrays([s], tok.pad_id)
+        ids, targets, mask, experts, lengths = make_batch_arrays([s], tok.pad_id)
         n = len(s.ids)
         assert np.array_equal(ids[0, :n], s.ids)
         assert np.array_equal(targets[0, :n - 1], s.ids[1:])
@@ -167,6 +168,7 @@ class TestBatching:
         assert not mask[0, n - 1:].any()
         assert mask[0].sum() == s.mask.sum()  # EOS target included, nothing lost
         assert experts.tolist() == [s.task_expert]
+        assert lengths.tolist() == [n]
 
 
 class TestNllLoss:
@@ -184,7 +186,8 @@ class TestNllLoss:
         targets = rng.integers(7, 64, size=(4, 24))
         mask = np.ones((4, 24), dtype=bool)
         with Graph():
-            loss, _ = nll_loss(run.params, cfg, (ids, targets, mask, np.zeros(4, dtype=np.int64)))
+            loss, _ = nll_loss(run.params, cfg, (ids, targets, mask, np.zeros(4, dtype=np.int64),
+                                                 np.full(4, 24)))
         assert float(loss.data) == pytest.approx(np.log(64), abs=0.05)
 
     def test_forced_one_hot_logits_give_zero_loss(self, monkeypatch):
@@ -219,9 +222,23 @@ class TestNllLoss:
     def test_empty_batch_rejected(self):
         ckpt, registry, tok = make_setup()
         empty = (np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
-                 np.zeros((0, 4), dtype=bool), np.zeros(0, dtype=np.int64))
+                 np.zeros((0, 4), dtype=bool), np.zeros(0, dtype=np.int64),
+                 np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="empty batch"):
             nll_loss(ckpt.params, ckpt.config, empty)
+
+    @pytest.mark.parametrize("task_routing", [True, False])
+    def test_decisions_have_one_row_per_real_token(self, task_routing):
+        ckpt, registry, tok = make_setup()
+        samples = make_dataset(registry, n=2)
+        encoded, _ = encode_samples(samples, tok, ckpt.expert_map, 192)
+        arrays = make_batch_arrays(encoded, tok.pad_id)
+        ids, lengths = arrays[0], arrays[4]
+        assert (ids == tok.pad_id).any()  # the batch is padded
+        assert lengths.sum() == (ids != tok.pad_id).sum()
+        with Graph():
+            _, decisions = nll_loss(ckpt.params, ckpt.config, arrays, task_routing=task_routing)
+        assert all(d.indices.shape == (lengths.sum(), 2) for d in decisions)
 
     def test_aux_coefficient_perturbs_loss(self):
         ckpt, registry, tok = make_setup()
@@ -433,6 +450,68 @@ class TestCheckpoint:
         clipped.write_bytes(path.read_bytes()[:200])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(clipped)
+
+    @staticmethod
+    def _with_header(tmp_path, edit):
+        """A valid checkpoint file whose JSON header went through ``edit``."""
+        ckpt, registry, tok = make_setup(seed=12)
+        path = tmp_path / "m.ck"
+        save_checkpoint(ckpt, path)
+        raw = path.read_bytes()
+        (header_len,) = struct.unpack("<I", raw[8:12])
+        header = json.loads(raw[12:12 + header_len])
+        edit(header)
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        edited = tmp_path / "edited.ck"
+        edited.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len:])
+        return edited
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        ckpt, registry, tok = make_setup(seed=13)
+        path = tmp_path / "m.ck"
+        save_checkpoint(ckpt, path)
+        with open(path, "ab") as fh:
+            fh.write(b"junk")
+        with pytest.raises(CheckpointError, match="after the last") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_missing_header_key_rejected(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h.pop("adam_t"))
+        with pytest.raises(CheckpointError, match="missing adam_t") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_unknown_model_config_key_rejected(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h["model_config"].update(n_towers=2))
+        with pytest.raises(CheckpointError, match="ModelConfig.*n_towers") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        old, registry, tok = make_setup(seed=15)
+        path = tmp_path / "m.ck"
+        save_checkpoint(old, path)
+        before = path.read_bytes()
+        real_write = tr._write_tensor
+        calls = []
+
+        def fail_after_first(fh, name, arr):
+            if calls:
+                raise OSError("disk full")
+            calls.append(name)
+            real_write(fh, name, arr)
+
+        monkeypatch.setattr(tr, "_write_tensor", fail_after_first)
+        new, _, _ = make_setup(seed=16)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(new, path)
+        assert calls
+        assert os.listdir(tmp_path) == ["m.ck"]
+        assert path.read_bytes() == before
+        back = load_checkpoint(path)
+        for (na, ta), (nb, tb) in zip(old.named_params(), back.named_params()):
+            assert np.array_equal(ta.data, tb.data), na
 
     def test_resume_is_bitwise_identical(self, tmp_path):
         samples = None
