@@ -288,16 +288,6 @@ def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out, (x,), bwd)
 
 
-def silu(x: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-x.data))
-    out = x.data * sig
-
-    def bwd(g):
-        return (g * (sig * (1.0 + x.data * (1.0 - sig))),)
-
-    return _node(out, (x,), bwd)
-
-
 def softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
     """Numerically stable softmax; masked-out positions are exactly zero.
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, fields
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
@@ -26,10 +27,10 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# (name, type, default) — the whole flat key=value schema; every key may appear
-# in the config file and every one has a working default.
-_SCHEMA = [
-    # corpus
+# (name, type, default) of the corpus keys and the run keys. The model and
+# training keys are the ModelConfig and TrainConfig fields; _schema() puts them
+# in between.
+_CORPUS_KEYS = [
     ("tasks", str, "asr,ocr,typo"),
     ("intensity", float, 0.15),
     ("n_best", int, 5),
@@ -37,81 +38,31 @@ _SCHEMA = [
     ("pool_path", str, ""),
     ("pool_size", int, 0),
     ("data_seed", int, 1),
-    # model
-    ("d_model", int, 128),
-    ("n_layers", int, 4),
-    ("n_heads", int, 4),
-    ("d_ff", int, 256),
-    ("n_experts", int, 4),
-    ("top_k", int, 2),
-    ("max_seq_len", int, 384),
-    ("rope_base", float, 10000.0),
-    ("rms_eps", float, 1e-5),
-    # training
-    ("learning_rate", float, 1e-4),
-    ("weight_decay", float, 0.01),
-    ("warmup_ratio", float, 0.1),
-    ("epochs", int, 3),
-    ("grad_clip", float, 1.0),
-    ("batch_size_tokens", int, 4096),
-    ("adam_beta1", float, 0.9),
-    ("adam_beta2", float, 0.999),
-    ("adam_eps", float, 1e-8),
-    ("seed", int, 0),
-    ("aux_loss_coeff", float, 0.0),
-    ("task_routing", bool, True),
+]
+_RUN_KEYS = [
     ("checkpoint_interval", int, 0),
     ("precision", str, "f32"),
 ]
 
-_TYPES = {name: typ for name, typ, _ in _SCHEMA}
 
+def _schema() -> list[tuple[str, type, object]]:
+    """(name, type, default) of every config key, in config.resolved order.
 
-@dataclass
-class RunConfig:
-    """Fully-resolved run settings; see _SCHEMA for the keys and defaults."""
+    vocab_size is left out: the tokenizer sets it. The imports load numpy, so
+    only code that main() reaches after _cap_threads() may call this.
+    """
+    from .model import ModelConfig
+    from .training import TrainConfig
 
-    tasks: str
-    intensity: float
-    n_best: int
-    samples_per_task: int
-    pool_path: str
-    pool_size: int
-    data_seed: int
-    d_model: int
-    n_layers: int
-    n_heads: int
-    d_ff: int
-    n_experts: int
-    top_k: int
-    max_seq_len: int
-    rope_base: float
-    rms_eps: float
-    learning_rate: float
-    weight_decay: float
-    warmup_ratio: float
-    epochs: int
-    grad_clip: float
-    batch_size_tokens: int
-    adam_beta1: float
-    adam_beta2: float
-    adam_eps: float
-    seed: int
-    aux_loss_coeff: float
-    task_routing: bool
-    checkpoint_interval: int
-    precision: str
-
-    @property
-    def task_names(self) -> list[str]:
-        return [t.strip() for t in self.tasks.split(",") if t.strip()]
-
-    def dump(self) -> str:
-        lines = [f"{f.name} = {getattr(self, f.name)}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
+    keys = list(_CORPUS_KEYS)
+    for cls in (ModelConfig, TrainConfig):
+        types = get_type_hints(cls)
+        keys += [(f.name, types[f.name], f.default) for f in fields(cls) if f.name != "vocab_size"]
+    return keys + _RUN_KEYS
 
 
 def parse_config_file(path: str) -> dict:
+    types = {name: typ for name, typ, _ in _schema()}
     overrides = {}
     try:
         with open(path, encoding="utf-8") as fh:
@@ -126,9 +77,9 @@ def parse_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _TYPES:
+        if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        typ = _TYPES[key]
+        typ = types[key]
         try:
             overrides[key] = _parse_bool(value) if typ is bool else typ(value)
         except (ValueError, ConfigError) as exc:
@@ -136,20 +87,33 @@ def parse_config_file(path: str) -> dict:
     return overrides
 
 
-def resolve_config(args) -> RunConfig:
-    values = {name: default for name, _, default in _SCHEMA}
+def resolve_config(args) -> dict:
+    """Every config key and its value, in config.resolved order: the defaults,
+    then the config file, then --seed and --precision."""
+    cfg = {name: default for name, _, default in _schema()}
     if args.config:
-        values.update(parse_config_file(args.config))
+        cfg.update(parse_config_file(args.config))
     if args.seed is not None:
-        values["seed"] = args.seed
+        cfg["seed"] = args.seed
     if args.precision is not None:
-        values["precision"] = args.precision
-    cfg = RunConfig(**values)
-    if cfg.precision not in ("f32", "f64"):
-        raise ConfigError(f"precision must be f32 or f64, got {cfg.precision!r}")
-    if not cfg.task_names:
+        cfg["precision"] = args.precision
+    if cfg["precision"] not in ("f32", "f64"):
+        raise ConfigError(f"precision must be f32 or f64, got {cfg['precision']!r}")
+    if not task_names(cfg):
         raise ConfigError("no tasks configured")
+    if cfg["pool_size"] < 0:
+        raise ConfigError(f"pool_size must be >= 0 (0 = the whole pool), got {cfg['pool_size']}")
+    if cfg["samples_per_task"] < 1:
+        raise ConfigError(f"samples_per_task must be >= 1, got {cfg['samples_per_task']}")
     return cfg
+
+
+def task_names(cfg: dict) -> list[str]:
+    return [t.strip() for t in cfg["tasks"].split(",") if t.strip()]
+
+
+def _fields_of(cls, cfg: dict) -> dict:
+    return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
 
 
 def _cap_threads(argv: list[str]) -> None:
@@ -163,32 +127,16 @@ def _cap_threads(argv: list[str]) -> None:
             os.environ.setdefault(var, n)
 
 
-def _build_corpus_pieces(cfg: RunConfig):
-    from .corpus import NoiseChannel, Tokenizer, load_sentence_pool
+def cmd_gen_data(args) -> int:
+    from .corpus import NoiseChannel, build_mixture, load_sentence_pool, write_dataset
     from .tasks import TaskRegistry
 
-    registry = TaskRegistry(cfg.task_names)
-    tokenizer = Tokenizer(registry.names)
-    channels = {}
-    for name in registry.names:
-        if name not in ("asr", "ocr", "typo"):
-            raise ConfigError(f"no synthetic noise channel for task {name!r} "
-                              "(available kinds: asr, ocr, typo)")
-        channels[name] = NoiseChannel(name, cfg.intensity)
-    if cfg.pool_path:
-        pool = load_sentence_pool(cfg.pool_path, limit=cfg.pool_size or None)
-    else:
-        pool = load_sentence_pool(limit=cfg.pool_size or None)
-    return registry, tokenizer, channels, pool
-
-
-def cmd_gen_data(args) -> int:
-    from .corpus import build_mixture, write_dataset
-
     cfg = resolve_config(args)
-    registry, _, channels, pool = _build_corpus_pieces(cfg)
-    dataset = build_mixture(registry, channels, pool, cfg.samples_per_task,
-                            cfg.n_best, cfg.data_seed)
+    registry = TaskRegistry(task_names(cfg))
+    channels = {name: NoiseChannel(name, cfg["intensity"]) for name in registry.names}
+    pool = load_sentence_pool(cfg["pool_path"] or None, limit=cfg["pool_size"] or None)
+    dataset = build_mixture(registry, channels, pool, cfg["samples_per_task"],
+                            cfg["n_best"], cfg["data_seed"])
     write_dataset(args.out, dataset.samples)
     counts = {}
     for s in dataset.samples:
@@ -200,37 +148,30 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_train(args) -> int:
-    from .corpus import read_dataset
+    from .corpus import Tokenizer, read_dataset
     from .model import ModelConfig
+    from .tasks import TaskRegistry
     from .training import (TrainConfig, load_checkpoint, metrics_header, new_run,
                            save_checkpoint, train)
 
     cfg = resolve_config(args)
-    registry, tokenizer, _, _ = _build_corpus_pieces(cfg)
-    samples = read_dataset(args.data, registry)
-    os.makedirs(args.out_dir, exist_ok=True)
-
     if args.resume:
         ckpt = load_checkpoint(args.resume)
-        # the run continues with the checkpoint's settings, so record those
-        model_fields = ckpt.config.to_dict()
-        del model_fields["vocab_size"]
-        cfg = replace(cfg, **model_fields, **ckpt.train_config.to_dict(), precision=ckpt.dtype)
+        # the run continues with the checkpoint's settings and task order, so
+        # the dataset is read, and config.resolved written, with those
+        cfg.update(asdict(ckpt.config), **asdict(ckpt.train_config), precision=ckpt.dtype,
+                   tasks=",".join(ckpt.registry.names))
+        del cfg["vocab_size"]
     else:
-        model_cfg = ModelConfig(
-            vocab_size=tokenizer.vocab_size, d_model=cfg.d_model, n_layers=cfg.n_layers,
-            n_heads=cfg.n_heads, d_ff=cfg.d_ff, n_experts=cfg.n_experts, top_k=cfg.top_k,
-            max_seq_len=cfg.max_seq_len, rope_base=cfg.rope_base, rms_eps=cfg.rms_eps)
-        train_cfg = TrainConfig(
-            learning_rate=cfg.learning_rate, weight_decay=cfg.weight_decay,
-            warmup_ratio=cfg.warmup_ratio, epochs=cfg.epochs, grad_clip=cfg.grad_clip,
-            batch_size_tokens=cfg.batch_size_tokens, adam_beta1=cfg.adam_beta1,
-            adam_beta2=cfg.adam_beta2, adam_eps=cfg.adam_eps, seed=cfg.seed,
-            aux_loss_coeff=cfg.aux_loss_coeff, task_routing=cfg.task_routing)
-        ckpt = new_run(model_cfg, train_cfg, registry, tokenizer, dtype=cfg.precision)
-
+        registry = TaskRegistry(task_names(cfg))
+        tokenizer = Tokenizer(registry.names)
+        model_cfg = ModelConfig(vocab_size=tokenizer.vocab_size, **_fields_of(ModelConfig, cfg))
+        ckpt = new_run(model_cfg, TrainConfig(**_fields_of(TrainConfig, cfg)), registry,
+                       tokenizer, dtype=cfg["precision"])
+    samples = read_dataset(args.data, ckpt.registry)
+    os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.write(cfg.dump())
+        fh.writelines(f"{name} = {value}\n" for name, value in cfg.items())
 
     header = metrics_header(ckpt.config.n_experts)
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
@@ -249,7 +190,7 @@ def cmd_train(args) -> int:
         if args.log_every and row["step"] % args.log_every == 0:
             print(f"step {row['step']}/{ck.total_steps} loss {row['loss']:.4f} "
                   f"lr {row['lr']:.2e} grad_norm {row['grad_norm']:.3f}")
-        if cfg.checkpoint_interval and ck.step % cfg.checkpoint_interval == 0:
+        if cfg["checkpoint_interval"] and ck.step % cfg["checkpoint_interval"] == 0:
             save_checkpoint(ck, os.path.join(args.out_dir, f"checkpoint_{ck.step:06d}.ck"))
 
     try:
@@ -368,15 +309,16 @@ def main(argv=None) -> int:
     _cap_threads(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .training import CheckpointError, NumericalError
+    from .training import NumericalError
 
     try:
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, CheckpointError, KeyError, FileNotFoundError, ValueError) as exc:
-        message = exc.args[0] if exc.args else exc
+    except (KeyError, OSError, ValueError) as exc:  # ConfigError, CheckpointError included
+        # str() of a KeyError quotes its message; an OSError's text names the path
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return 2
 

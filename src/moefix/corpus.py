@@ -149,7 +149,7 @@ class NoiseChannel:
 
     def __post_init__(self) -> None:
         if self.kind not in ("asr", "ocr", "typo"):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
+            raise ValueError(f"unknown channel kind {self.kind!r} (available: asr, ocr, typo)")
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError(f"intensity must be in [0, 1], got {self.intensity}")
         if self.char_table is None:
@@ -370,27 +370,3 @@ def load_sentence_pool(path=None, limit: int | None = None) -> list[str]:
             text = fh.read()
     pool = [line.strip() for line in text.splitlines() if line.strip()]
     return pool[:limit] if limit else pool
-
-
-_LEXICON = {
-    "det": ("the", "a", "every", "one", "this"),
-    "adj": ("red", "old", "small", "quiet", "bright", "warm", "green", "heavy"),
-    "noun": ("fox", "river", "lamp", "garden", "train", "letter", "basket",
-             "mountain", "window", "teacher", "dog", "boat"),
-    "verb": ("follows", "carries", "watches", "finds", "opens", "paints",
-             "crosses", "holds"),
-}
-
-
-def random_sentences(n: int, seed: int) -> list[str]:
-    """Seeded fallback generator when no sentence file is available."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        det, det2 = _pick(rng, _LEXICON["det"]), _pick(rng, _LEXICON["det"])
-        out.append(" ".join([
-            det, _pick(rng, _LEXICON["adj"]), _pick(rng, _LEXICON["noun"]),
-            _pick(rng, _LEXICON["verb"]), det2, _pick(rng, _LEXICON["adj"]),
-            _pick(rng, _LEXICON["noun"]),
-        ]) + ".")
-    return out

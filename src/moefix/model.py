@@ -8,7 +8,7 @@ cannot read it by construction).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,11 +55,6 @@ class ModelConfig:
     def head_dim(self) -> int:
         return self.d_model // self.n_heads
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "vocab_size", "d_model", "n_layers", "n_heads", "d_ff", "n_experts",
-            "top_k", "max_seq_len", "rope_base", "rms_eps")}
-
 
 @dataclass
 class LayerParams:
@@ -94,10 +89,6 @@ def named_tensors(params: TransformerParams):
 
 def parameters(params: TransformerParams) -> list[Tensor]:
     return [t for _, t in named_tensors(params)]
-
-
-def param_count(params: TransformerParams) -> int:
-    return sum(t.data.size for t in parameters(params))
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndarray:

@@ -50,11 +50,6 @@ class RoutingDecision:
     task_forced: np.ndarray | None = None  # [n] int
 
 
-def swiglu_ffn(x: Tensor, expert: ExpertParams) -> Tensor:
-    gated = ad.mul(ad.silu(ad.matmul(x, expert.gate_proj)), ad.matmul(x, expert.up))
-    return ad.matmul(gated, expert.down)
-
-
 def _topk(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices of the k largest logits per row (ties to the lowest index) and
     the matching boolean selection mask."""
@@ -229,16 +224,6 @@ class UtilizationReport:
     def mean_weight(self, task: str, expert: int) -> float:
         c = self.selection_counts[task][expert]
         return float(self.weight_sums[task][expert] / c) if c else 0.0
-
-    def expert_load(self) -> np.ndarray:
-        total = sum(self.selection_counts.values())
-        return total / total.sum()
-
-    def routing_entropy(self, task: str) -> float:
-        c = self.selection_counts[task]
-        p = c / c.sum()
-        p = p[p > 0]
-        return float(-(p * np.log(p)).sum())
 
     def to_csv(self) -> str:
         lines = ["task,expert,fraction,mean_weight"]

@@ -50,9 +50,6 @@ class TaskRegistry:
         return f"<{task.name}>"
 
 
-DEFAULT_TASK_NAMES = ("asr", "ocr", "typo")
-
-
 @dataclass(frozen=True)
 class ExpertMap:
     """The task -> expert assignment, fixed at model creation."""
@@ -97,7 +94,6 @@ def format_prompt(
     task: TaskId,
     hypotheses,
     target: str | None = None,
-    max_hypotheses: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Token ids and loss mask for one correction sample.
 
@@ -108,8 +104,6 @@ def format_prompt(
     hypotheses = list(hypotheses)
     if not hypotheses:
         raise ValueError("at least one hypothesis is required")
-    if max_hypotheses is not None and len(hypotheses) > max_hypotheses:
-        raise ValueError(f"{len(hypotheses)} hypotheses exceed the configured n-best {max_hypotheses}")
     ids: list[int] = [tokenizer.special_id(TaskRegistry.tag(task))]
     ids.extend(tokenizer.encode(INSTRUCTION))
     hyp_sep = tokenizer.special_id(HYP_SEP)

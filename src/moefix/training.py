@@ -9,14 +9,14 @@ from __future__ import annotations
 import json
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Graph, Tensor, clip_global_norm, zero_grads
+from .autodiff import Graph, clip_global_norm, zero_grads
 from .corpus import Tokenizer, derive_seed
-from .model import ModelConfig, TransformerParams, forward, init_params, named_tensors, parameters
+from .model import ModelConfig, TransformerParams, forward, init_params, named_tensors
 from .moe import collect_route_stats
 from .tasks import ExpertMap, TaskRegistry, build_expert_map, format_prompt
 
@@ -55,12 +55,6 @@ class TrainConfig:
             raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
         if self.weight_decay < 0 or self.aux_loss_coeff < 0:
             raise ValueError("weight_decay and aux_loss_coeff must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "learning_rate", "weight_decay", "warmup_ratio", "epochs", "grad_clip",
-            "batch_size_tokens", "adam_beta1", "adam_beta2", "adam_eps", "seed",
-            "aux_loss_coeff", "task_routing")}
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -287,12 +281,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     entries += [(f"opt.m.{name}", ckpt.opt.m[name]) for name in ckpt.opt.m]
     entries += [(f"opt.v.{name}", ckpt.opt.v[name]) for name in ckpt.opt.v]
     header = {
-        "model_config": ckpt.config.to_dict(),
+        "model_config": asdict(ckpt.config),
         "dtype": ckpt.dtype,
         "tasks": ckpt.registry.names,
         "alphabet": ckpt.tokenizer.alphabet,
         "expert_map": ckpt.expert_map.to_dict(),
-        "train_config": ckpt.train_config.to_dict(),
+        "train_config": asdict(ckpt.train_config),
         "step": ckpt.step,
         "total_steps": ckpt.total_steps,
         "adam_t": ckpt.opt.t,
@@ -324,7 +318,7 @@ _HEADER_KEYS = ("model_config", "dtype", "tasks", "alphabet", "expert_map", "tra
 def _config_from(path, cls, values: dict):
     try:
         return cls(**values)
-    except TypeError as exc:  # an unknown or missing field
+    except (TypeError, ValueError) as exc:  # an unknown or missing field, or a bad value
         raise CheckpointError(f"{path}: bad {cls.__name__} in header: {exc}") from None
 
 

@@ -47,6 +47,14 @@ def gradcheck(build, params: list[ad.Tensor], tol: float = 1e-4, h: float = 1e-5
         assert err <= tol, f"gradient mismatch: rel err {err:.3e} > {tol}"
 
 
+def swiglu_reference(x: np.ndarray, expert) -> np.ndarray:
+    """One SwiGLU expert in plain numpy, in the op order the MoE dispatch
+    uses, so the two agree bitwise: down(silu(x @ gate_proj) * (x @ up))."""
+    h = x @ expert.gate_proj.data
+    sig = 1.0 / (1.0 + np.exp(-h))
+    return (h * sig * (x @ expert.up.data)) @ expert.down.data
+
+
 def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product, the independent oracle for matmul."""
     m, k = a.shape

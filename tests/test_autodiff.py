@@ -258,11 +258,6 @@ def _case_mean(rng):
     return [x], lambda: ad.mean_(x, axis=0)
 
 
-def _case_silu(rng):
-    x = _rand(rng, 2, 5)
-    return [x], lambda: ad.silu(x)
-
-
 def _case_softmax(rng):
     x = _rand(rng, 3, 5)
     return [x], lambda: ad.softmax(x)
@@ -309,7 +304,6 @@ OP_CASES = {
     "swapaxes": _case_swapaxes,
     "sum": _case_sum,
     "mean": _case_mean,
-    "silu": _case_silu,
     "softmax": _case_softmax,
     "softmax_masked": _case_softmax_masked,
     "rms_norm": _case_rms_norm,
@@ -340,7 +334,7 @@ def test_forward_backward_bitwise_deterministic():
         a = t64(rng.normal(size=(4, 4)))
         b = t64(rng.normal(size=(4, 4)))
         with Graph():
-            out = ad.softmax(ad.matmul(a, ad.silu(b)))
+            out = ad.softmax(ad.matmul(a, ad.mul(b, b)))
             loss = ad.cross_entropy(ad.reshape(out, (4, 4)), np.array([0, 1, 2, 3]))
             ad.backward(loss)
         return loss.data.copy(), a.grad.copy(), b.grad.copy()
@@ -355,7 +349,7 @@ def test_forward_backward_bitwise_deterministic():
 def test_tensor_invariants():
     x = Tensor(np.zeros((2, 3)))
     assert int(np.prod(x.shape)) == x.data.size
-    y = ad.silu(x)
+    y = ad.softmax(x)
     assert np.isfinite(y.data).all()
     assert Tensor([[1, 2], [3, 4]]).dtype == np.float32  # default precision
     assert Tensor([1.0], dtype="f64").dtype == np.float64

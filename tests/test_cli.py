@@ -66,12 +66,13 @@ class TestConfig:
     def test_full_defaulting(self):
         args = cli.build_parser().parse_args(["gen-data", "--out", "x"])
         cfg = resolve_config(args)
-        assert cfg.d_model == 128 and cfg.epochs == 3 and cfg.task_names == ["asr", "ocr", "typo"]
+        assert cfg["d_model"] == 128 and cfg["epochs"] == 3
+        assert cli.task_names(cfg) == ["asr", "ocr", "typo"]
 
     def test_cli_seed_override(self, tiny_config):
         args = cli.build_parser().parse_args(["--config", tiny_config, "--seed", "99",
                                               "gen-data", "--out", "x"])
-        assert resolve_config(args).seed == 99
+        assert resolve_config(args)["seed"] == 99
 
     def test_bad_exit_code_on_unknown_key(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
@@ -127,6 +128,17 @@ class TestGenData:
         assert run_cli("--config", tiny_config, "gen-data",
                        "--out", str(tmp_path / "no" / "dir.jsonl")) == 2
 
+    @pytest.mark.parametrize("line,key", [("pool_size = -3", "pool_size"),
+                                          ("samples_per_task = -1", "samples_per_task"),
+                                          ("samples_per_task = 0", "samples_per_task")])
+    def test_bad_corpus_value_exits_2_naming_the_key(self, tmp_path, capsys, line, key):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY + line + "\n")
+        out = tmp_path / "d.jsonl"
+        assert run_cli("--config", str(path), "gen-data", "--out", str(out)) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture
 def trained_run(tiny_config, tmp_path_factory):
@@ -140,7 +152,50 @@ def trained_run(tiny_config, tmp_path_factory):
     return tiny_config, data, out
 
 
+DEFAULT_RESOLVED = (
+    "tasks = asr,ocr,typo\n"
+    "intensity = 0.15\n"
+    "n_best = 5\n"
+    "samples_per_task = 300\n"
+    "pool_path = \n"
+    "pool_size = 0\n"
+    "data_seed = 1\n"
+    "d_model = 128\n"
+    "n_layers = 4\n"
+    "n_heads = 4\n"
+    "d_ff = 256\n"
+    "n_experts = 4\n"
+    "top_k = 2\n"
+    "max_seq_len = 384\n"
+    "rope_base = 10000.0\n"
+    "rms_eps = 1e-05\n"
+    "learning_rate = 0.0001\n"
+    "weight_decay = 0.01\n"
+    "warmup_ratio = 0.1\n"
+    "epochs = 3\n"
+    "grad_clip = 1.0\n"
+    "batch_size_tokens = 4096\n"
+    "adam_beta1 = 0.9\n"
+    "adam_beta2 = 0.999\n"
+    "adam_eps = 1e-08\n"
+    "seed = 0\n"
+    "aux_loss_coeff = 0.0\n"
+    "task_routing = True\n"
+    "checkpoint_interval = 0\n"
+    "precision = f32\n"
+)
+
+
 class TestTrain:
+    def test_default_config_resolved_is_pinned(self, tmp_path):
+        data_cfg = tmp_path / "data.cfg"
+        data_cfg.write_text(TINY + "samples_per_task = 1\n")
+        data = tmp_path / "data.jsonl"
+        assert run_cli("--config", str(data_cfg), "gen-data", "--out", str(data)) == 0
+        out = tmp_path / "out"
+        assert run_cli("train", "--data", str(data), "--out-dir", str(out)) == 0
+        assert (out / "config.resolved").read_text() == DEFAULT_RESOLVED
+
     def test_run_artifacts(self, trained_run):
         tiny_config, data, out = trained_run
         assert (out / "model.ck").exists()
@@ -221,6 +276,45 @@ class TestTrain:
         assert "d_model = 8" in lines
         assert "learning_rate = 0.002" in lines
         assert f"precision = {ckpt.dtype}" in lines and ckpt.dtype == "f32"
+
+    def test_resume_reads_the_dataset_in_the_checkpoint_task_order(self, tiny_config, tmp_path):
+        # with one expert per task, a dataset read in another task order would
+        # train each task through another task's expert
+        data = tmp_path / "data.jsonl"
+        run_cli("--config", tiny_config, "gen-data", "--out", str(data))
+        cfg = tmp_path / "four.cfg"
+        cfg.write_text(TINY.replace("n_experts = 2", "n_experts = 4") + "checkpoint_interval = 2\n")
+        full = tmp_path / "full"
+        assert run_cli("--config", str(cfg), "train", "--data", str(data),
+                       "--out-dir", str(full)) == 0
+        reordered = tmp_path / "reordered.cfg"
+        reordered.write_text(cfg.read_text().replace("tasks = asr,ocr,typo", "tasks = typo,asr,ocr"))
+        resumed = tmp_path / "resumed"
+        assert run_cli("--config", str(reordered), "train", "--data", str(data),
+                       "--out-dir", str(resumed), "--resume",
+                       str(full / "checkpoint_000002.ck")) == 0
+        assert (resumed / "model.ck").read_bytes() == (full / "model.ck").read_bytes()
+        full_rows = (full / "metrics.csv").read_text().splitlines()
+        resumed_rows = (resumed / "metrics.csv").read_text().splitlines()
+        assert resumed_rows == [full_rows[0], *full_rows[3:]]
+        assert "tasks = asr,ocr,typo" in (resumed / "config.resolved").read_text().splitlines()
+
+    def test_missing_files_are_named(self, tiny_config, tmp_path, capsys):
+        missing_data = tmp_path / "missing.jsonl"
+        assert run_cli("--config", tiny_config, "train", "--data", str(missing_data),
+                       "--out-dir", str(tmp_path / "o")) == 2
+        assert str(missing_data) in capsys.readouterr().err
+        missing_ck = tmp_path / "missing.ck"
+        assert run_cli("eval", "--checkpoint", str(missing_ck), "--data", str(missing_data)) == 2
+        assert str(missing_ck) in capsys.readouterr().err
+
+    def test_train_does_not_read_the_sentence_pool(self, tiny_config, tmp_path):
+        data = tmp_path / "data.jsonl"
+        run_cli("--config", tiny_config, "gen-data", "--out", str(data))
+        cfg = tmp_path / "pool.cfg"
+        cfg.write_text(TINY + f"pool_path = {tmp_path / 'no_such_pool.txt'}\n")
+        assert run_cli("--config", str(cfg), "train", "--data", str(data),
+                       "--out-dir", str(tmp_path / "o")) == 0
 
     def test_malformed_dataset_reports_line(self, tiny_config, tmp_path, capsys):
         data = tmp_path / "broken.jsonl"

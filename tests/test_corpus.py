@@ -18,7 +18,6 @@ from moefix.corpus import (
     gen_nbest,
     load_sentence_pool,
     make_sample,
-    random_sentences,
     read_dataset,
     write_dataset,
 )
@@ -235,11 +234,6 @@ class TestSources:
         pool = load_sentence_pool()
         assert len(pool) >= 100
         assert all(all(c in ALPHABET for c in line) for line in pool)
-
-    def test_random_sentences_deterministic(self):
-        assert random_sentences(5, seed=3) == random_sentences(5, seed=3)
-        assert random_sentences(5, seed=3) != random_sentences(5, seed=4)
-        assert all(s.endswith(".") for s in random_sentences(8, seed=1))
 
 
 class TestSampleValidation:

@@ -13,11 +13,12 @@ from moefix.model import (
     generate,
     init_params,
     named_tensors,
-    param_count,
     parameters,
     rope_tables,
 )
-from moefix.moe import RoutingDecision, swiglu_ffn
+from moefix.moe import RoutingDecision
+
+from helpers import swiglu_reference
 
 
 def tiny_config(**overrides):
@@ -218,8 +219,8 @@ class TestForward:
         x = ad.add(x, causal_attention(ad.rms_norm(x, layer.attn_norm, cfg.rms_eps),
                                        layer, cfg, np.arange(9)))
         h = ad.rms_norm(x, layer.ffn_norm, cfg.rms_eps)
-        y = swiglu_ffn(ad.reshape(h, (9, cfg.d_model)), layer.moe.experts[0])
-        x = ad.add(x, ad.reshape(y, (1, 9, cfg.d_model)))
+        y = swiglu_reference(h.data.reshape(9, cfg.d_model), layer.moe.experts[0])
+        x = ad.add(x, Tensor(y.reshape(1, 9, cfg.d_model)))
         x = ad.rms_norm(x, params.final_norm, cfg.rms_eps)
         want = ad.matmul(x, ad.transpose(params.embedding)).data[0]
         assert np.array_equal(got.data, want)
@@ -229,7 +230,6 @@ class TestForward:
         params = init_params(cfg, seed=16)
         names = [n for n, _ in named_tensors(params)]
         assert len(names) == len(set(names))
-        assert param_count(params) == sum(t.data.size for t in parameters(params))
 
 
 class TestGeneration:

@@ -10,10 +10,9 @@ from moefix.moe import (
     collect_route_stats,
     moe_forward_infer,
     moe_forward_task,
-    swiglu_ffn,
 )
 
-from helpers import finite_difference_grad, gradcheck, max_rel_err
+from helpers import finite_difference_grad, gradcheck, max_rel_err, swiglu_reference
 
 
 def make_layer(rng, d=6, d_ff=8, n_experts=4, dtype=np.float64, tie_experts=False):
@@ -32,12 +31,6 @@ def make_layer(rng, d=6, d_ff=8, n_experts=4, dtype=np.float64, tie_experts=Fals
         else:
             experts.append(ExpertParams(up=mat(d, d_ff), gate_proj=mat(d, d_ff), down=mat(d_ff, d)))
     return MoeLayerParams(gate=mat(d, n_experts), experts=experts)
-
-
-def swiglu_reference(x, expert):
-    h = x @ expert.gate_proj.data
-    sig = 1.0 / (1.0 + np.exp(-h))
-    return (h * sig * (x @ expert.up.data)) @ expert.down.data
 
 
 def identity_gate_layer(n_experts, seed=0):
@@ -83,7 +76,7 @@ class TestInferForward:
         layer = make_layer(rng, n_experts=1)
         x = Tensor(rng.normal(size=(3, 6)))
         y, dec = moe_forward_infer(x, layer, k=1)
-        assert np.array_equal(y.data, swiglu_ffn(x, layer.experts[0]).data)
+        assert np.array_equal(y.data, swiglu_reference(x.data, layer.experts[0]))
         assert dec.weights.tolist() == [[1.0]] * 3
 
     def test_identical_experts_ignore_gate(self):
@@ -310,9 +303,3 @@ class TestRouteStats:
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == "task,expert,fraction,mean_weight"
         assert len(lines) == 1 + 2 * 3
-
-    def test_entropy_and_load(self):
-        dec = RoutingDecision(indices=np.array([[0], [1]]), weights=np.array([[1.0], [1.0]]))
-        report = collect_route_stats([("t", dec)], n_experts=2)
-        assert report.routing_entropy("t") == pytest.approx(np.log(2))
-        assert np.allclose(report.expert_load(), [0.5, 0.5])

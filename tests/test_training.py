@@ -488,6 +488,16 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("section,field,value,match", [
+        ("model_config", "n_heads", 3, "ModelConfig.*not divisible by n_heads 3"),
+        ("train_config", "epochs", 0, "TrainConfig.*epochs must be positive"),
+    ])
+    def test_bad_config_value_rejected(self, tmp_path, section, field, value, match):
+        path = self._with_header(tmp_path, lambda h: h[section].update({field: value}))
+        with pytest.raises(CheckpointError, match=match) as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
     def test_interrupted_write_keeps_previous_file(self, tmp_path, monkeypatch):
         old, registry, tok = make_setup(seed=15)
         path = tmp_path / "m.ck"
