@@ -128,14 +128,20 @@ def _as_tensor(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
+def recording(parents: tuple) -> bool:
+    """Whether an op on ``parents`` records itself: a graph is active and
+    some parent needs a gradient. Ops that save work for their backward pass
+    can skip saving it when this is False."""
+    return active_graph() is not None and any(p.requires_grad for p in parents)
+
+
 def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
     out = Tensor(data)
-    graph = active_graph()
-    if graph is not None and any(p.requires_grad for p in parents):
+    if recording(parents):
         out.requires_grad = True
         out._parents = parents
         out._backward = backward_fn
-        graph.nodes.append(out)
+        active_graph().nodes.append(out)
     return out
 
 
@@ -331,23 +337,6 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
         return gx, gw
 
     return _node(out, (x, weight), bwd)
-
-
-def rope(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotary position encoding: rotate (first-half, second-half) feature pairs.
-
-    ``cos``/``sin`` are constants broadcastable to x[..., :dim/2]; the backward
-    pass is rotation by the opposite angle.
-    """
-    h = x.data.shape[-1] // 2
-    x1, x2 = x.data[..., :h], x.data[..., h:]
-    out = np.concatenate([x1 * cos - x2 * sin, x2 * cos + x1 * sin], axis=-1)
-
-    def bwd(g):
-        g1, g2 = g[..., :h], g[..., h:]
-        return (np.concatenate([g1 * cos + g2 * sin, g2 * cos - g1 * sin], axis=-1),)
-
-    return _node(out, (x,), bwd)
 
 
 def take(x: Tensor, idx: np.ndarray) -> Tensor:

@@ -64,6 +64,7 @@ def _schema() -> list[tuple[str, type, object]]:
 def parse_config_file(path: str) -> dict:
     types = {name: typ for name, typ, _ in _schema()}
     overrides = {}
+    first_line = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -79,6 +80,10 @@ def parse_config_file(path: str) -> dict:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} given twice "
+                              f"(lines {first_line[key]} and {lineno})")
+        first_line[key] = lineno
         typ = types[key]
         try:
             overrides[key] = _parse_bool(value) if typ is bool else typ(value)
@@ -116,14 +121,19 @@ def _fields_of(cls, cfg: dict) -> dict:
     return {f.name: cfg[f.name] for f in fields(cls) if f.name in cfg}
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
+
+
 def _cap_threads(argv: list[str]) -> None:
-    """Honor NEKO_THREADS (and --deterministic, which implies one thread)."""
+    """Cap numpy's worker threads. --deterministic sets one thread, over any
+    NEKO_THREADS or BLAS variable already set; otherwise NEKO_THREADS fills in
+    the BLAS variables that are not set."""
     n = os.environ.get("NEKO_THREADS")
-    if n is None and "--deterministic" in argv:
-        n = "1"
-    if n:
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    if "--deterministic" in argv:
+        os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
+    elif n:
+        for var in _THREAD_VARS:
             os.environ.setdefault(var, n)
 
 

@@ -137,6 +137,29 @@ def rope_tables(config: ModelConfig, positions: np.ndarray, dtype) -> tuple[np.n
             np.sin(angles)[:, None, :].astype(dtype))
 
 
+# Query rows per attention block. It bounds the scores held at once to
+# [B, H, 64, keys], and it lets each block skip the keys past its last row.
+_BLOCK = 64
+
+
+def _rotate(y: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotary encoding of [..., hd] features: each (first-half, second-half)
+    pair turns by the angle of ``cos``/``sin``. Passing ``-sin`` turns it back."""
+    h = y.shape[-1] // 2
+    y1, y2 = y[..., :h], y[..., h:]
+    return np.concatenate([y1 * cos - y2 * sin, y2 * cos + y1 * sin], axis=-1)
+
+
+def _block_scores(q: np.ndarray, k: np.ndarray, pos: np.ndarray, scale) -> np.ndarray:
+    """Scaled scores [B, H, rows, pos[-1] + 1] of the query rows at positions
+    ``pos`` against the keys up to the last of them; future keys get -inf."""
+    n_keys = pos[-1] + 1
+    s = (q @ np.swapaxes(k[:, :, :n_keys], -1, -2)) * scale
+    if len(pos) > 1:
+        np.copyto(s, -np.inf, where=np.arange(n_keys) > pos[:, None])
+    return s
+
+
 def causal_attention(
     x: Tensor,
     layer: LayerParams,
@@ -145,39 +168,84 @@ def causal_attention(
     cache: "KVCache | None" = None,
     layer_index: int = 0,
 ) -> Tensor:
-    """Multi-head attention with rotary Q/K and a strict causal mask.
+    """Multi-head attention with rotary Q/K and a strict causal mask, from the
+    normed ``x`` [B, T, d] through the output projection, as one graph node.
+
+    Query rows run in blocks of ``_BLOCK``, and each block scores only the
+    keys up to its last position. In a graph, the node saves q, k, v, the head
+    outputs and each row's logsumexp, never the probabilities: the backward
+    pass recomputes them block by block as exp(scores - logsumexp).
 
     Without a cache, ``x`` is the whole sequence. With one, ``x`` holds the
     tokens at ``positions`` right after the cached prefix: their keys and
     values are written into layer ``layer_index``'s buffers, and they attend
-    over the prefix plus themselves. The cache path is inference-only: no
-    gradient flows through cached keys and values.
+    over the prefix plus themselves. The cache path is inference-only.
     """
     b, t, d = x.data.shape
     end = t if cache is None else cache.length + t
     if end > config.max_seq_len:
         raise ValueError(f"sequence length {end} exceeds max_seq_len {config.max_seq_len}")
     h, hd = config.n_heads, config.head_dim
-    cos, sin = rope_tables(config, positions, x.data.dtype)
+    dtype = x.data.dtype
+    parents = (x, layer.wq, layer.wk, layer.wv, layer.wo)
+    save = ad.recording(parents)
+    if save and cache is not None:
+        raise ValueError("the KV cache path is inference-only; run it outside a graph")
+    cos, sin = rope_tables(config, positions, dtype)
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=dtype)
 
-    def heads(w, rotate):
-        y = ad.reshape(ad.matmul(x, w), (b, t, h, hd))
-        if rotate:
-            y = ad.rope(y, cos, sin)
-        return ad.swapaxes(y, 1, 2)  # [B, H, T, hd]
+    def heads(w):
+        return (x.data @ w.data).reshape(b, t, h, hd)
 
-    q = heads(layer.wq, rotate=True)
-    k = heads(layer.wk, rotate=True)
-    v = heads(layer.wv, rotate=False)
+    q = np.swapaxes(_rotate(heads(layer.wq), cos, sin), 1, 2)  # [B, H, T, hd]
+    k = np.swapaxes(_rotate(heads(layer.wk), cos, sin), 1, 2)
+    v = np.swapaxes(heads(layer.wv), 1, 2)
     if cache is not None:
-        k, v = cache.write(layer_index, k.data, v.data, config)
+        k, v = cache.write(layer_index, k, v, config)
+    merged = np.empty((b, t, h, hd), dtype=dtype)  # head outputs, [B, T, H, hd]
+    lse = np.empty((b, h, t), dtype=dtype) if save else None
+    for lo in range(0, t, _BLOCK):
+        hi = min(lo + _BLOCK, t)
+        s = _block_scores(q[:, :, lo:hi], k, positions[lo:hi], scale)
+        peak = s.max(axis=-1, keepdims=True)
+        e = np.exp(s - peak)
+        total = e.sum(axis=-1, keepdims=True)
+        merged[:, lo:hi] = np.swapaxes((e / total) @ v[:, :, :s.shape[-1]], 1, 2)
+        if save:
+            lse[:, :, lo:hi] = (peak + np.log(total))[..., 0]
+    merged = merged.reshape(b * t, d)
+    out = (merged @ layer.wo.data).reshape(b, t, d)
+    if not save:
+        return Tensor(out)
 
-    scores = ad.matmul(q, ad.swapaxes(k, -1, -2)) * (1.0 / np.sqrt(hd))
-    # a single new token sees every key: the prefix and itself
-    causal = None if t == 1 else np.arange(end)[None, :] <= positions[:, None]
-    att = ad.softmax(scores, mask=causal)
-    mixed = ad.swapaxes(ad.matmul(att, v), 1, 2)
-    return ad.matmul(ad.reshape(mixed, (b, t, d)), layer.wo)
+    def bwd(g):
+        g = g.reshape(b * t, d)
+        g_wo = merged.T @ g
+        d_out = np.swapaxes((g @ layer.wo.data.T).reshape(b, t, h, hd), 1, 2)
+        # delta_i = sum_j p_ij dp_ij = dO_i . O_i, so no probability row is kept
+        delta = (d_out * np.swapaxes(merged.reshape(b, t, h, hd), 1, 2)).sum(axis=-1)
+        dq = np.empty_like(q)
+        dk = np.zeros_like(k)
+        dv = np.zeros_like(v)
+        for lo in range(0, t, _BLOCK):
+            hi = min(lo + _BLOCK, t)
+            s = _block_scores(q[:, :, lo:hi], k, positions[lo:hi], scale)
+            n_keys = s.shape[-1]
+            p = np.exp(s - lse[:, :, lo:hi, None])
+            dv[:, :, :n_keys] += np.swapaxes(p, -1, -2) @ d_out[:, :, lo:hi]
+            ds = p * (d_out[:, :, lo:hi] @ np.swapaxes(v[:, :, :n_keys], -1, -2)
+                      - delta[:, :, lo:hi, None])
+            ds *= scale
+            dq[:, :, lo:hi] = ds @ k[:, :, :n_keys]
+            dk[:, :, :n_keys] += np.swapaxes(ds, -1, -2) @ q[:, :, lo:hi]
+        dq = _rotate(np.swapaxes(dq, 1, 2), cos, -sin).reshape(b * t, d)
+        dk = _rotate(np.swapaxes(dk, 1, 2), cos, -sin).reshape(b * t, d)
+        dv = np.swapaxes(dv, 1, 2).reshape(b * t, d)
+        x2 = x.data.reshape(b * t, d)
+        g_x = dq @ layer.wq.data.T + dk @ layer.wk.data.T + dv @ layer.wv.data.T
+        return g_x.reshape(b, t, d), x2.T @ dq, x2.T @ dk, x2.T @ dv, g_wo
+
+    return ad._node(out, parents, bwd)
 
 
 class KVCache:
@@ -193,9 +261,10 @@ class KVCache:
         self.v: list[np.ndarray | None] = [None] * n_layers
         self.length = 0
 
-    def write(self, i: int, k: np.ndarray, v: np.ndarray, config: ModelConfig) -> tuple[Tensor, Tensor]:
-        """Store [B, H, t, hd] keys/values after the prefix; return layer ``i``'s
-        keys and values over the prefix plus the new positions."""
+    def write(self, i: int, k: np.ndarray, v: np.ndarray,
+              config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+        """Store [B, H, t, hd] keys/values after the prefix; return views of
+        layer ``i``'s keys and values over the prefix plus the new positions."""
         b, h, t, hd = k.shape
         if self.k[i] is None:
             self.k[i] = np.zeros((b, h, config.max_seq_len, hd), dtype=k.dtype)
@@ -203,7 +272,7 @@ class KVCache:
         end = self.length + t
         self.k[i][:, :, self.length:end] = k
         self.v[i][:, :, self.length:end] = v
-        return Tensor(self.k[i][:, :, :end]), Tensor(self.v[i][:, :, :end])
+        return self.k[i][:, :, :end], self.v[i][:, :, :end]
 
 
 def forward(

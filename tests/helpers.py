@@ -55,6 +55,31 @@ def swiglu_reference(x: np.ndarray, expert) -> np.ndarray:
     return (h * sig * (x @ expert.up.data)) @ expert.down.data
 
 
+def attention_reference(x: np.ndarray, layer, config) -> np.ndarray:
+    """Causal multi-head attention over a whole sequence in dense numpy, the
+    oracle for ``model.causal_attention``: rotary q/k at positions 0..T-1, all
+    [T, T] scores, masked above the diagonal and softmaxed row by row."""
+    b, t, d = x.shape
+    h, hd = config.n_heads, config.head_dim
+    half = hd // 2
+    angles = np.arange(t)[:, None] * config.rope_base ** (-np.arange(half) / half)
+    cos, sin = np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+
+    def heads(w, rotate):
+        y = (x @ w.data).reshape(b, t, h, hd)
+        if rotate:
+            y1, y2 = y[..., :half], y[..., half:]
+            y = np.concatenate([y1 * cos - y2 * sin, y2 * cos + y1 * sin], axis=-1)
+        return y.transpose(0, 2, 1, 3)  # [B, H, T, hd]
+
+    q, k, v = heads(layer.wq, True), heads(layer.wk, True), heads(layer.wv, False)
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
+    scores[..., np.triu(np.ones((t, t), dtype=bool), 1)] = -np.inf
+    p = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    return (p @ v).transpose(0, 2, 1, 3).reshape(b, t, d) @ layer.wo.data
+
+
 def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Triple-loop matrix product, the independent oracle for matmul."""
     m, k = a.shape

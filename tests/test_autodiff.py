@@ -275,13 +275,6 @@ def _case_rms_norm(rng):
     return [x, w], lambda: ad.rms_norm(x, w, eps=1e-6)
 
 
-def _case_rope(rng):
-    x = _rand(rng, 3, 2, 8)
-    angles = rng.normal(size=(3, 1, 4))
-    cos, sin = np.cos(angles), np.sin(angles)
-    return [x], lambda: ad.rope(x, cos, sin)
-
-
 def _case_take(rng):
     x = _rand(rng, 5, 3)
     idx = rng.integers(0, 5, size=7)
@@ -307,7 +300,6 @@ OP_CASES = {
     "softmax": _case_softmax,
     "softmax_masked": _case_softmax_masked,
     "rms_norm": _case_rms_norm,
-    "rope": _case_rope,
     "take": _case_take,
     "cross_entropy": _case_cross_entropy,
 }

@@ -57,6 +57,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match=":2"):
             parse_config_file(str(path))
 
+    def test_key_given_twice_rejected(self, tmp_path, capsys):
+        path = tmp_path / "twice.cfg"
+        path.write_text(TINY + "samples_per_task = 1\n")
+        code = run_cli("--config", str(path), "gen-data", "--out", str(tmp_path / "d.jsonl"))
+        assert code == 2
+        assert "'samples_per_task' given twice (lines 4 and 19)" in capsys.readouterr().err
+        assert not (tmp_path / "d.jsonl").exists()
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("epochs 3\n")
@@ -88,25 +96,34 @@ class TestConfig:
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
     def test_deterministic_flag_caps_threads_before_numpy_loads(self, tiny_config, tmp_path):
-        # a fresh process: the flag is read from main's argv, not sys.argv, and
-        # the cap is set while numpy is still unloaded, so BLAS reads it
-        script = (
-            "import os, sys\n"
-            "import moefix.cli\n"
-            "assert 'numpy' not in sys.modules, 'importing moefix.cli loaded numpy'\n"
-            "sys.argv = ['moefix']\n"
-            f"code = moefix.cli.main(['--config', {tiny_config!r}, '--deterministic',\n"
-            f"                        'gen-data', '--out', {str(tmp_path / 'd.jsonl')!r}])\n"
-            "assert code == 0, code\n"
-            "print(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
-        )
-        env = {k: v for k, v in os.environ.items()
-               if k not in ("NEKO_THREADS", "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                            "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")}
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env=env)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "1"
+        assert _deterministic_thread_vars(tiny_config, tmp_path, {}) == ["1"] * 4
+
+    def test_deterministic_flag_overrides_thread_settings(self, tiny_config, tmp_path):
+        preset = {"NEKO_THREADS": "2", "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
+        assert _deterministic_thread_vars(tiny_config, tmp_path, preset) == ["1"] * 4
+
+
+def _deterministic_thread_vars(config_path, tmp_path, preset):
+    """The BLAS thread variables after ``main(['--deterministic', ...])`` in a
+    fresh process whose environment holds ``preset``. The flag is read from
+    main's argv, not sys.argv, and the cap is set while numpy is still
+    unloaded, so BLAS reads it."""
+    script = (
+        "import os, sys\n"
+        "import moefix.cli\n"
+        "assert 'numpy' not in sys.modules, 'importing moefix.cli loaded numpy'\n"
+        "sys.argv = ['moefix']\n"
+        f"code = moefix.cli.main(['--config', {config_path!r}, '--deterministic',\n"
+        f"                        'gen-data', '--out', {str(tmp_path / 'd.jsonl')!r}])\n"
+        "assert code == 0, code\n"
+        "print(*(os.environ.get(v) for v in moefix.cli._THREAD_VARS))\n"
+    )
+    env = {k: v for k, v in os.environ.items()
+           if k != "NEKO_THREADS" and k not in cli._THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**env, **preset})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1].split()
 
 
 class TestGenData:
@@ -189,7 +206,7 @@ DEFAULT_RESOLVED = (
 class TestTrain:
     def test_default_config_resolved_is_pinned(self, tmp_path):
         data_cfg = tmp_path / "data.cfg"
-        data_cfg.write_text(TINY + "samples_per_task = 1\n")
+        data_cfg.write_text(TINY.replace("samples_per_task = 10", "samples_per_task = 1"))
         data = tmp_path / "data.jsonl"
         assert run_cli("--config", str(data_cfg), "gen-data", "--out", str(data)) == 0
         out = tmp_path / "out"

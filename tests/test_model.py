@@ -18,7 +18,7 @@ from moefix.model import (
 )
 from moefix.moe import RoutingDecision
 
-from helpers import swiglu_reference
+from helpers import attention_reference, gradcheck, swiglu_reference
 
 
 def tiny_config(**overrides):
@@ -90,25 +90,68 @@ class TestAttention:
         want = (x.data.reshape(1, -1) @ layer.wv.data) @ layer.wo.data
         assert np.abs(got.reshape(1, -1) - want).max() < 1e-12
 
-    def test_rows_of_attention_sum_to_one(self, monkeypatch):
-        captured = []
-        orig = ad.softmax
-
-        def spy(x, mask=None, axis=-1):
-            out = orig(x, mask=mask, axis=axis)
-            if out.data.ndim == 4:
-                captured.append(out.data)
-            return out
-
-        monkeypatch.setattr(ad, "softmax", spy)
+    def test_matches_dense_reference_on_a_padded_batch(self):
         cfg = tiny_config()
-        params = init_params(cfg, seed=7)
+        params = init_params(cfg, seed=7, dtype="f64")
         rng = np.random.default_rng(1)
-        tokens = rng.integers(0, cfg.vocab_size, size=(3, 10))
-        forward(params, cfg, tokens, mode="infer")
-        assert captured
-        for att in captured:
-            assert np.abs(att.sum(axis=-1) - 1.0).max() <= 1e-6
+        tokens = rng.integers(1, cfg.vocab_size, size=(3, 10))
+        tokens[1, 7:] = tokens[2, 3:] = 0  # right padding, as make_batch_arrays lays it out
+        layer = params.layers[0]
+        x = ad.rms_norm(ad.take(params.embedding, tokens), layer.attn_norm, cfg.rms_eps)
+        got = causal_attention(x, layer, cfg, np.arange(10)).data
+        assert np.abs(got - attention_reference(x.data, layer, cfg)).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [64, 65, 2 * 64 + 5])
+    def test_matches_dense_reference_across_query_blocks(self, t):
+        cfg = tiny_config(max_seq_len=160)
+        params = init_params(cfg, seed=22, dtype="f64")
+        x = np.random.default_rng(t).normal(size=(2, t, cfg.d_model))
+        got = causal_attention(Tensor(x), params.layers[0], cfg, np.arange(t)).data
+        assert np.abs(got - attention_reference(x, params.layers[0], cfg)).max() <= 1e-12
+
+    @pytest.mark.parametrize("t", [1, 9, 2 * 64 + 5])
+    def test_gradients_match_finite_differences(self, t):
+        # x and the four projections, through one block, a partial one, and three
+        cfg = tiny_config(d_model=8, n_heads=2, max_seq_len=160)
+        layer = init_params(cfg, seed=23, dtype="f64").layers[0]
+        rng = np.random.default_rng(t)
+        x = Tensor(rng.normal(size=(1, t, cfg.d_model)), requires_grad=True)
+        proj = rng.normal(size=(1, t, cfg.d_model))
+
+        def build():
+            out = causal_attention(x, layer, cfg, np.arange(t))
+            return ad.sum_(ad.mul(out, Tensor(proj)))
+
+        gradcheck(build, [x, layer.wq, layer.wk, layer.wv, layer.wo])
+
+    def test_train_tape_holds_no_score_matrix(self):
+        # a [T, T] array on the tape, as a node output or saved for a backward
+        # pass, is the quadratic memory the fused node avoids
+        t = 9
+
+        def tape(n_layers):
+            cfg = tiny_config(n_layers=n_layers)
+            params = init_params(cfg, seed=24)
+            tokens = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(2, t))
+            with ad.Graph() as graph:
+                forward(params, cfg, tokens, mode="train", task_experts=[0, 1],
+                        lengths=np.array([t, 6]))
+            return graph.nodes
+
+        nodes = tape(3)
+        for node in nodes:
+            cells = [c.cell_contents for c in node._backward.__closure__ or ()]
+            for a in [node.data] + [c for c in cells if isinstance(c, np.ndarray)]:
+                assert a.shape[-2:] != (t, t), node
+        # per layer: 2 norms, attention, 2 residual adds, 2 reshapes and the
+        # MoE's gate matmul, row take, softmax and dispatch
+        assert (len(nodes) - len(tape(1))) / 2 == 11
+
+    def test_cache_path_refuses_to_record(self):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=25)
+        with ad.Graph(), pytest.raises(ValueError, match="inference-only"):
+            forward(params, cfg, np.zeros(3, dtype=np.int64), cache=KVCache(cfg.n_layers))
 
     def test_rejects_overlong_sequence(self):
         cfg = tiny_config(max_seq_len=8)
@@ -244,6 +287,16 @@ class TestGeneration:
         inc_b, _ = forward_incremental(params, cfg, tokens[7:], cache)
         inc = np.concatenate([inc_a, inc_b], axis=0)
         assert np.abs(inc - full.data).max() < 1e-10
+
+    def test_cached_steps_after_a_multi_block_prefill_match_full_forward(self):
+        cfg = tiny_config(max_seq_len=96)
+        params = init_params(cfg, seed=26, dtype="f64")
+        tokens = np.random.default_rng(7).integers(0, cfg.vocab_size, size=75)
+        full, _ = forward(params, cfg, tokens)
+        cache = KVCache(cfg.n_layers)
+        steps = [forward_incremental(params, cfg, tokens[:70], cache)[0]]
+        steps += [forward_incremental(params, cfg, tokens[i:i + 1], cache)[0] for i in range(70, 75)]
+        assert np.abs(np.concatenate(steps) - full.data).max() <= 1e-12
 
     def test_f32_decode_stays_f32_and_writes_cache_in_place(self):
         cfg = tiny_config(n_layers=3)
