@@ -92,34 +92,12 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, id={self.node_id})"
 
     # arithmetic sugar; the heavy ops are module-level functions
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self))
-
-    __radd__ = __add__
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other, self))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0, self))
-
-    def __sub__(self, other):
-        return add(self, -_as_tensor(other, self))
-
-    def __rsub__(self, other):
-        return add(_as_tensor(other, self), -self)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) != 1 else shape[0])
 
 
 def _as_tensor(x, like: Tensor) -> Tensor:
@@ -248,13 +226,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
 
     return _node(out, (a, b), bwd)
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    def bwd(g):
-        return (g.reshape(x.data.shape),)
-
-    return _node(x.data.reshape(shape), (x,), bwd)
 
 
 def swapaxes(x: Tensor, a: int, b: int) -> Tensor:

@@ -178,7 +178,7 @@ def cmd_train(args) -> int:
         model_cfg = ModelConfig(vocab_size=tokenizer.vocab_size, **_fields_of(ModelConfig, cfg))
         ckpt = new_run(model_cfg, TrainConfig(**_fields_of(TrainConfig, cfg)), registry,
                        tokenizer, dtype=cfg["precision"])
-    samples = read_dataset(args.data, ckpt.registry)
+    samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
         fh.writelines(f"{name} = {value}\n" for name, value in cfg.items())
@@ -224,7 +224,7 @@ def cmd_eval(args) -> int:
     from .training import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
-    samples = read_dataset(args.data, ckpt.registry)
+    samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
     # a prompt that fills max_seq_len leaves no room to decode: skipped and
     # counted, as train skips overlong samples
     fitting = [s for s in samples if decode_budget(
@@ -242,12 +242,18 @@ def cmd_eval(args) -> int:
 
 
 def cmd_correct(args) -> int:
+    from .corpus import check_alphabet
     from .metrics import correct_hypotheses
     from .training import load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
     task = ckpt.registry.get(args.task)  # KeyError -> exit 2 via main()
-    hypotheses = [line.rstrip("\n") for line in sys.stdin if line.strip()]
+    hypotheses = []
+    for lineno, line in enumerate(sys.stdin, start=1):
+        hypothesis = line.rstrip("\n")
+        if hypothesis.strip():
+            check_alphabet(f"stdin: line {lineno}", [hypothesis], ckpt.tokenizer.alphabet)
+            hypotheses.append(hypothesis)
     if not hypotheses:
         raise ConfigError("no hypotheses on stdin (one per line)")
     print(correct_hypotheses(ckpt.params, ckpt.config, ckpt.tokenizer, task, hypotheses))
@@ -259,7 +265,7 @@ def cmd_route_stats(args) -> int:
     from .training import load_checkpoint, route_stats_over
 
     ckpt = load_checkpoint(args.checkpoint)
-    samples = read_dataset(args.data, ckpt.registry)
+    samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
     for task in ckpt.registry:
         print(f"# task {task.name} -> expert {ckpt.expert_map.expert_for(task)}")
     report, skipped = route_stats_over(ckpt, samples)

@@ -340,7 +340,10 @@ def write_dataset(path, samples) -> None:
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
-def read_dataset(path, registry: TaskRegistry) -> list[CorrectionSample]:
+def read_dataset(path, registry: TaskRegistry, alphabet: str) -> list[CorrectionSample]:
+    """The samples of a file written by ``write_dataset``. A malformed record,
+    or a hypothesis or target with a character outside ``alphabet`` (the
+    tokenizer's), is an error that names the file and line."""
     samples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -348,15 +351,25 @@ def read_dataset(path, registry: TaskRegistry) -> list[CorrectionSample]:
                 continue
             try:
                 rec = json.loads(line)
-                samples.append(CorrectionSample(
+                sample = CorrectionSample(
                     task=registry.get(rec["task"]),
                     hypotheses=tuple(rec["hypotheses"]),
                     target=rec["target"],
                     seed=int(rec["seed"]),
-                ))
+                )
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed dataset record on line {lineno}: {exc}") from None
+            check_alphabet(f"{path}: line {lineno}", (*sample.hypotheses, sample.target), alphabet)
+            samples.append(sample)
     return samples
+
+
+def check_alphabet(where: str, texts, alphabet: str) -> None:
+    """Raise ValueError, naming ``where``, if a text holds a character outside
+    ``alphabet``: the tokenizer could not encode it."""
+    foreign = set("".join(texts)) - set(alphabet)
+    if foreign:
+        raise ValueError(f"{where}: character {min(foreign)!r} is not in the tokenizer alphabet")
 
 
 # --- source texts -----------------------------------------------------------

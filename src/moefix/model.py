@@ -140,23 +140,77 @@ def rope_tables(config: ModelConfig, positions: np.ndarray, dtype) -> tuple[np.n
 # Query rows per attention block. It bounds the scores held at once to
 # [B, H, 64, keys], and it lets each block skip the keys past its last row.
 _BLOCK = 64
+_FUTURE = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)  # key after query, in one block
 
 
-def _rotate(y: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
-    """Rotary encoding of [..., hd] features: each (first-half, second-half)
-    pair turns by the angle of ``cos``/``sin``. Passing ``-sin`` turns it back."""
-    h = y.shape[-1] // 2
-    y1, y2 = y[..., :h], y[..., h:]
-    return np.concatenate([y1 * cos - y2 * sin, y2 * cos + y1 * sin], axis=-1)
+@dataclass
+class RowLayout:
+    """Where the n flat rows of B sequences sit in the [B, H, T, hd] heads of
+    attention, and each row's rotary turn; built once per forward pass (by
+    ``row_layout``, or ``KVCache.layout`` for a cached step) and shared by
+    every layer.
+
+    The sequences are sorted longest first, so the sequences still longer
+    than a query block's start are a prefix of the heads.
+    """
+
+    shape: tuple[int, int]  # (B, T): sequences, and rows of the longest
+    seq: np.ndarray     # [n] slot of each row's sequence in the heads
+    pos: np.ndarray     # [n] position of each row in its sequence
+    longer: np.ndarray  # [blocks] sequences longer than each block's start
+    turn: np.ndarray    # [n, 2, 1, hd/2] each row's ``_turns``
+    start: int          # position of each sequence's first row
 
 
-def _block_scores(q: np.ndarray, k: np.ndarray, pos: np.ndarray, scale) -> np.ndarray:
-    """Scaled scores [B, H, rows, pos[-1] + 1] of the query rows at positions
-    ``pos`` against the keys up to the last of them; future keys get -inf."""
-    n_keys = pos[-1] + 1
-    s = (q @ np.swapaxes(k[:, :, :n_keys], -1, -2)) * scale
-    if len(pos) > 1:
-        np.copyto(s, -np.inf, where=np.arange(n_keys) > pos[:, None])
+def _turns(config: ModelConfig, positions: np.ndarray, dtype) -> np.ndarray:
+    """e^(i angle) of the rotary angles at ``positions``, [T, 2, 1, hd/2]:
+    for q times the score scale, then for k."""
+    cos, sin = rope_tables(config, positions, dtype)
+    turn = (cos + 1j * sin).astype(np.result_type(dtype, np.complex64))
+    scale = np.asarray(1.0 / np.sqrt(config.head_dim), dtype=dtype)
+    return np.stack([turn * scale, turn], axis=1)
+
+
+def row_layout(config: ModelConfig, lengths, dtype) -> RowLayout:
+    """The layout of sequences of ``lengths`` rows, for activations of
+    ``dtype``."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b, n, t = len(lengths), int(lengths.sum()), int(lengths.max())
+    order = np.argsort(-lengths, kind="stable")
+    slot = np.empty(b, dtype=np.int64)
+    slot[order] = np.arange(b)
+    pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    longer = np.searchsorted(-lengths[order], -np.arange(0, t, _BLOCK))
+    return RowLayout((b, t), np.repeat(slot, lengths), pos, longer,
+                     _turns(config, np.arange(t), dtype)[pos], 0)
+
+
+def _pair_order(config: ModelConfig) -> np.ndarray:
+    """Column order of a q or k projection that interleaves each head's
+    (first-half, second-half) feature pairs: each pair is then one complex
+    number, and the rotary turn one complex product. The scores, sums over
+    the features, do not depend on their order."""
+    half = config.head_dim // 2
+    in_head = np.arange(2 * half).reshape(2, half).T.ravel()
+    return (np.arange(config.n_heads)[:, None] * 2 * half + in_head).ravel()
+
+
+def _fused_projection(layer: LayerParams, config: ModelConfig) -> np.ndarray:
+    """[wq | wk | wv] as one [d, 3d] matrix, q and k in ``_pair_order``."""
+    cols = _pair_order(config)
+    return np.concatenate([layer.wq.data[:, cols], layer.wk.data[:, cols], layer.wv.data], axis=1)
+
+
+def _block_scores(q: np.ndarray, k_t: np.ndarray, lo: int, start: int) -> np.ndarray:
+    """Scores [rows, H, r, start + lo + r] of the r query rows of a block that
+    begins at position ``start + lo``, against the keys up to its last row;
+    ``k_t`` holds the keys transposed, [rows, H, hd, keys]. Every key before
+    the block is visible to every row; in the diagonal sub-block, keys after
+    their query get -inf."""
+    r = q.shape[2]
+    s = q @ k_t[..., :start + lo + r]
+    if r > 1:
+        np.copyto(s[..., start + lo:], -np.inf, where=_FUTURE[:r, :r])
     return s
 
 
@@ -164,114 +218,165 @@ def causal_attention(
     x: Tensor,
     layer: LayerParams,
     config: ModelConfig,
-    positions: np.ndarray,
+    rows: RowLayout,
     cache: "KVCache | None" = None,
     layer_index: int = 0,
 ) -> Tensor:
     """Multi-head attention with rotary Q/K and a strict causal mask, from the
-    normed ``x`` [B, T, d] through the output projection, as one graph node.
+    normed ``x`` through the output projection, as one graph node.
 
-    Query rows run in blocks of ``_BLOCK``, and each block scores only the
-    keys up to its last position. In a graph, the node saves q, k, v, the head
-    outputs and each row's logsumexp, never the probabilities: the backward
-    pass recomputes them block by block as exp(scores - logsumexp).
+    ``x`` [n, d] holds the real rows of B sequences back to back, laid out by
+    ``rows`` (see ``row_layout``). The q/k/v and output projections run on
+    the n rows only, and each sequence attends within itself. Each block of
+    ``_BLOCK`` query rows scores only the sequences longer than its start
+    against the keys up to its last position. A real query never sees a
+    position past its own, so the pad tail of a shorter sequence needs no key
+    mask: it holds zeros, and its outputs are never read.
 
-    Without a cache, ``x`` is the whole sequence. With one, ``x`` holds the
-    tokens at ``positions`` right after the cached prefix: their keys and
-    values are written into layer ``layer_index``'s buffers, and they attend
-    over the prefix plus themselves. The cache path is inference-only.
+    In a graph, the node saves q, k (also transposed), v, the head outputs
+    and each row's logsumexp, never the probabilities: the backward pass
+    recomputes them block by block as exp(scores - logsumexp).
+
+    With a ``cache`` (one sequence; inference only), ``x`` holds the tokens
+    right after the cached prefix: their keys and values are written into
+    layer ``layer_index``'s buffers, and they attend over the prefix plus
+    themselves.
     """
-    b, t, d = x.data.shape
-    end = t if cache is None else cache.length + t
+    n, d = x.data.shape
+    b, t = rows.shape
+    end = rows.start + t
     if end > config.max_seq_len:
         raise ValueError(f"sequence length {end} exceeds max_seq_len {config.max_seq_len}")
     h, hd = config.n_heads, config.head_dim
     dtype = x.data.dtype
+    complex_dtype = np.result_type(dtype, np.complex64)
+    if rows.turn.dtype != complex_dtype:
+        raise ValueError(f"row layout built for {rows.turn.dtype}, activations are {dtype}")
     parents = (x, layer.wq, layer.wk, layer.wv, layer.wo)
     save = ad.recording(parents)
     if save and cache is not None:
         raise ValueError("the KV cache path is inference-only; run it outside a graph")
-    cos, sin = rope_tables(config, positions, dtype)
-    scale = np.asarray(1.0 / np.sqrt(hd), dtype=dtype)
+    seq, pos, start = rows.seq, rows.pos, rows.start
 
-    def heads(w):
-        return (x.data @ w.data).reshape(b, t, h, hd)
-
-    q = np.swapaxes(_rotate(heads(layer.wq), cos, sin), 1, 2)  # [B, H, T, hd]
-    k = np.swapaxes(_rotate(heads(layer.wk), cos, sin), 1, 2)
-    v = np.swapaxes(heads(layer.wv), 1, 2)
-    if cache is not None:
-        k, v = cache.write(layer_index, k, v, config)
-    merged = np.empty((b, t, h, hd), dtype=dtype)  # head outputs, [B, T, H, hd]
+    w_qkv = _fused_projection(layer, config) if cache is None else cache.projection(
+        layer_index, layer, config)
+    qkv = (x.data @ w_qkv).reshape(n, 3, h, hd)
+    qk = qkv[:, :2].view(complex_dtype)
+    qk *= rows.turn
+    if cache is None:
+        heads = np.zeros((3, b, h, t, hd), dtype=dtype)
+        heads[:, seq, :, pos] = qkv
+        q, k, v = heads
+        k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))  # scores read keys transposed
+    else:
+        q = np.ascontiguousarray(np.swapaxes(qkv[:, 0], 0, 1))[None]
+        k, v = cache.write(layer_index, qkv[:, 1], qkv[:, 2], config)
+        k_t = np.swapaxes(k, -1, -2)
+    merged = np.empty((b, h, t, hd), dtype=dtype)  # head outputs
     lse = np.empty((b, h, t), dtype=dtype) if save else None
-    for lo in range(0, t, _BLOCK):
-        hi = min(lo + _BLOCK, t)
-        s = _block_scores(q[:, :, lo:hi], k, positions[lo:hi], scale)
+    for block, lo in enumerate(range(0, t, _BLOCK)):
+        hi, live = min(lo + _BLOCK, t), rows.longer[block]
+        s = _block_scores(q[:live, :, lo:hi], k_t[:live], lo, start)
         peak = s.max(axis=-1, keepdims=True)
-        e = np.exp(s - peak)
-        total = e.sum(axis=-1, keepdims=True)
-        merged[:, lo:hi] = np.swapaxes((e / total) @ v[:, :, :s.shape[-1]], 1, 2)
+        s -= peak
+        np.exp(s, out=s)
+        total = s.sum(axis=-1, keepdims=True)
+        o = merged[:live, :, lo:hi]
+        np.matmul(s, v[:live, :, :s.shape[-1]], out=o)
+        o /= total
         if save:
-            lse[:, :, lo:hi] = (peak + np.log(total))[..., 0]
-    merged = merged.reshape(b * t, d)
-    out = (merged @ layer.wo.data).reshape(b, t, d)
+            lse[:live, :, lo:hi] = (peak + np.log(total))[..., 0]
+    merged = merged[seq, :, pos].reshape(n, d)
+    out = merged @ layer.wo.data
     if not save:
         return Tensor(out)
 
     def bwd(g):
-        g = g.reshape(b * t, d)
         g_wo = merged.T @ g
-        d_out = np.swapaxes((g @ layer.wo.data.T).reshape(b, t, h, hd), 1, 2)
+        d_merged = (g @ layer.wo.data.T).reshape(n, h, hd)
+        d_out = np.zeros_like(q)
+        d_out[seq, :, pos] = d_merged
         # delta_i = sum_j p_ij dp_ij = dO_i . O_i, so no probability row is kept
-        delta = (d_out * np.swapaxes(merged.reshape(b, t, h, hd), 1, 2)).sum(axis=-1)
+        delta = np.zeros_like(lse)
+        delta[seq, :, pos] = (d_merged * merged.reshape(n, h, hd)).sum(axis=-1)
+        v_t = np.ascontiguousarray(np.swapaxes(v, -1, -2))
         dq = np.empty_like(q)
         dk = np.zeros_like(k)
         dv = np.zeros_like(v)
-        for lo in range(0, t, _BLOCK):
-            hi = min(lo + _BLOCK, t)
-            s = _block_scores(q[:, :, lo:hi], k, positions[lo:hi], scale)
-            n_keys = s.shape[-1]
-            p = np.exp(s - lse[:, :, lo:hi, None])
-            dv[:, :, :n_keys] += np.swapaxes(p, -1, -2) @ d_out[:, :, lo:hi]
-            ds = p * (d_out[:, :, lo:hi] @ np.swapaxes(v[:, :, :n_keys], -1, -2)
-                      - delta[:, :, lo:hi, None])
-            ds *= scale
-            dq[:, :, lo:hi] = ds @ k[:, :, :n_keys]
-            dk[:, :, :n_keys] += np.swapaxes(ds, -1, -2) @ q[:, :, lo:hi]
-        dq = _rotate(np.swapaxes(dq, 1, 2), cos, -sin).reshape(b * t, d)
-        dk = _rotate(np.swapaxes(dk, 1, 2), cos, -sin).reshape(b * t, d)
-        dv = np.swapaxes(dv, 1, 2).reshape(b * t, d)
-        x2 = x.data.reshape(b * t, d)
-        g_x = dq @ layer.wq.data.T + dk @ layer.wk.data.T + dv @ layer.wv.data.T
-        return g_x.reshape(b, t, d), x2.T @ dq, x2.T @ dk, x2.T @ dv, g_wo
+        for block, lo in enumerate(range(0, t, _BLOCK)):
+            hi, live = min(lo + _BLOCK, t), rows.longer[block]
+            p = _block_scores(q[:live, :, lo:hi], k_t[:live], lo, start)
+            p -= lse[:live, :, lo:hi, None]
+            np.exp(p, out=p)
+            n_keys = p.shape[-1]
+            d_o = d_out[:live, :, lo:hi]
+            dv[:live, :, :n_keys] += np.swapaxes(p, -1, -2) @ d_o
+            ds = d_o @ v_t[:live, :, :, :n_keys]
+            ds -= delta[:live, :, lo:hi, None]
+            ds *= p
+            dq[:live, :, lo:hi] = ds @ k[:live, :, :n_keys]
+            dk[:live, :, :n_keys] += np.swapaxes(ds, -1, -2) @ q[:live, :, lo:hi]
+        d_qkv = np.empty((n, 3, h, hd), dtype=dtype)
+        for i, grad in enumerate((dq, dk, dv)):
+            d_qkv[:, i] = grad[seq, :, pos]
+        d_qk = d_qkv[:, :2].view(complex_dtype)
+        d_qk *= rows.turn.conj()
+        d_qkv = d_qkv.reshape(n, 3 * d)
+        g_w = x.data.T @ d_qkv
+        back = np.argsort(_pair_order(config))
+        return (d_qkv @ w_qkv.T, g_w[:, :d][:, back], g_w[:, d:2 * d][:, back],
+                g_w[:, 2 * d:], g_wo)
 
     return ad._node(out, parents, bwd)
 
 
 class KVCache:
-    """Per-layer key/value buffers for incremental greedy decoding.
+    """Per-layer key/value buffers of one sequence for incremental greedy
+    decoding.
 
-    ``k[i]`` and ``v[i]`` are [B, H, max_seq_len, head_dim] buffers, allocated
+    ``k[i]`` and ``v[i]`` are [1, H, max_seq_len, head_dim] buffers, allocated
     on layer ``i``'s first write and written in place after that; only the
-    first ``length`` positions hold keys and values.
+    first ``length`` positions hold keys and values. The keys are rotated,
+    with each head's features in ``_pair_order``.
+    Cached keys and values hold for the weights and precision that made them,
+    so the cache also keeps, from its first step, each layer's fused
+    projection and the rotary turns of every position.
     """
 
     def __init__(self, n_layers: int) -> None:
         self.k: list[np.ndarray | None] = [None] * n_layers
         self.v: list[np.ndarray | None] = [None] * n_layers
+        self.w_qkv: list[np.ndarray | None] = [None] * n_layers
+        self.turns: np.ndarray | None = None
         self.length = 0
+
+    def layout(self, config: ModelConfig, t: int, dtype) -> RowLayout:
+        """The layout of t tokens right after the cached prefix."""
+        if self.turns is None:
+            self.turns = _turns(config, np.arange(config.max_seq_len), dtype)
+        blocks = -(-t // _BLOCK)
+        return RowLayout((1, t), np.zeros(t, dtype=np.int64), np.arange(t),
+                         np.ones(blocks, dtype=np.int64),
+                         self.turns[self.length:self.length + t], self.length)
+
+    def projection(self, i: int, layer: LayerParams, config: ModelConfig) -> np.ndarray:
+        """Layer ``i``'s ``_fused_projection``, built on its first step."""
+        if self.w_qkv[i] is None:
+            self.w_qkv[i] = _fused_projection(layer, config)
+        return self.w_qkv[i]
 
     def write(self, i: int, k: np.ndarray, v: np.ndarray,
               config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
-        """Store [B, H, t, hd] keys/values after the prefix; return views of
-        layer ``i``'s keys and values over the prefix plus the new positions."""
-        b, h, t, hd = k.shape
+        """Store the [t, H, hd] keys/values of the t positions after the
+        prefix; return [1, H, length + t, hd] views of layer ``i``'s keys and
+        values over the prefix plus the new positions."""
+        t, h, hd = k.shape
         if self.k[i] is None:
-            self.k[i] = np.zeros((b, h, config.max_seq_len, hd), dtype=k.dtype)
+            self.k[i] = np.zeros((1, h, config.max_seq_len, hd), dtype=k.dtype)
             self.v[i] = np.zeros_like(self.k[i])
         end = self.length + t
-        self.k[i][:, :, self.length:end] = k
-        self.v[i][:, :, self.length:end] = v
+        self.k[i][0, :, self.length:end] = np.swapaxes(k, 0, 1)
+        self.v[i][0, :, self.length:end] = np.swapaxes(v, 0, 1)
         return self.k[i][:, :, :end], self.v[i][:, :, :end]
 
 
@@ -285,58 +390,69 @@ def forward(
     aux_out: list | None = None,
     cache: KVCache | None = None,
     lengths: np.ndarray | None = None,
+    logit_rows: np.ndarray | None = None,
 ) -> tuple[Tensor, list[RoutingDecision]]:
-    """Next-token logits [.., T, vocab] plus one RoutingDecision per layer.
+    """Next-token logits plus one RoutingDecision per layer.
 
     ``tokens`` is [T] or [B, T] integer ids. In train mode ``task_experts``
     (scalar or one id per sequence) drives the task-forced route; in infer mode
     routing is plain top-K and any task argument is ignored. With a ``cache``
-    (infer mode only), ``tokens`` continue the cached prefix, whose keys and
-    values they attend to, and the cache grows by T positions.
+    (infer mode, one sequence), ``tokens`` continue the cached prefix, whose
+    keys and values they attend to, and the cache grows by T positions.
 
     ``lengths`` (one per sequence; None: all T) marks the first positions of
-    each row as real and the rest as right padding. Pad positions are never
-    routed: their MoE output is zero and the decisions hold one row per real
-    token, in row-major order. Under causal attention a pad position reaches
-    no real one, so the real positions' logits do not depend on it.
+    each row as real and the rest as right padding. Only the n real positions
+    are computed, as flat rows [n, d] in row-major order: pads are never
+    embedded, attended to or routed, and each decision has one row per real
+    position. The logits are [n, vocab], one row per real position: [T,
+    vocab] for one unpadded sequence. ``logit_rows`` (indices into the n
+    rows) runs the last layer's MoE, the final norm and the LM head on those
+    rows only, so the logits and the last decision have one row per index.
     """
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "train" and task_experts is None:
         raise ValueError("train mode requires task_experts for the forced route")
     tokens = np.asarray(tokens)
-    single = tokens.ndim == 1
-    ids = tokens[None, :] if single else tokens
+    ids = tokens[None, :] if tokens.ndim == 1 else tokens
     b, t = ids.shape
-    start = 0 if cache is None else cache.length
-    positions = np.arange(start, start + t)
+    if cache is not None and (b != 1 or lengths is not None):
+        raise ValueError("the KV cache path takes one unpadded sequence")
+    if lengths is None:
+        lengths, real = np.full(b, t), ids.ravel()
+    else:
+        lengths = np.asarray(lengths).reshape(b)
+        real = ids[np.arange(t)[None, :] < lengths[:, None]]
+    dtype = params.embedding.dtype
+    rows = row_layout(config, lengths, dtype) if cache is None else cache.layout(config, t, dtype)
 
-    x = ad.take(params.embedding, ids)
-    d = config.d_model
-    rows = None if lengths is None else np.flatnonzero(
-        np.arange(t)[None, :] < np.asarray(lengths).reshape(b, 1))
+    x = ad.take(params.embedding, real)
+    forced = None
+    if mode == "train":
+        per_seq = np.broadcast_to(np.asarray(task_experts, dtype=np.int64), (b,))
+        forced = np.repeat(per_seq, lengths)
+    last = len(params.layers) - 1
     decisions: list[RoutingDecision] = []
     for i, layer in enumerate(params.layers):
         x = ad.add(x, causal_attention(ad.rms_norm(x, layer.attn_norm, config.rms_eps),
-                                       layer, config, positions, cache, i))
-        flat = ad.reshape(ad.rms_norm(x, layer.ffn_norm, config.rms_eps), (b * t, d))
+                                       layer, config, rows, cache, i))
+        if i == last and logit_rows is not None:
+            x = ad.take(x, logit_rows)
+            forced = None if forced is None else forced[logit_rows]
+        h = ad.rms_norm(x, layer.ffn_norm, config.rms_eps)
         if mode == "train":
-            per_seq = np.broadcast_to(np.asarray(task_experts, dtype=np.int64), (b,))
-            y, decision = moe_forward_task(flat, layer.moe, np.repeat(per_seq, t), rows=rows)
+            y, decision = moe_forward_task(h, layer.moe, forced)
         else:
-            y, decision = moe_forward_infer(flat, layer.moe, top_k or config.top_k, rows=rows)
+            y, decision = moe_forward_infer(h, layer.moe, top_k or config.top_k)
         if aux_out is not None:
-            routed = flat if rows is None else ad.take(flat, rows)
-            aux_out.append(load_balance_aux(routed, layer.moe.gate, decision))
+            aux_out.append(load_balance_aux(h, layer.moe.gate, decision))
         decisions.append(decision)
-        x = ad.add(x, ad.reshape(y, (b, t, d)))
+        x = ad.add(x, y)
 
     x = ad.rms_norm(x, params.final_norm, config.rms_eps)
     logits = ad.matmul(x, ad.transpose(params.embedding))
-    if single:
-        logits = ad.reshape(logits, (t, config.vocab_size))
     if cache is not None:
-        cache.length = start + t
+        cache.length += t
     return logits, decisions
 
 

@@ -63,23 +63,21 @@ def _topk(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return idx, sel
 
 
-def _dispatch(x: Tensor, experts: list[ExpertParams], w: Tensor, idx: np.ndarray,
-              rows: np.ndarray | None) -> Tensor:
-    """Dropless sorted dispatch: ``out[rows[i]] = sum_j w[i, idx[i, j]] *
-    expert_idx[i, j](x[rows[i]])``; rows not routed get zero.
+def _dispatch(x: Tensor, experts: list[ExpertParams], w: Tensor, idx: np.ndarray) -> Tensor:
+    """Dropless sorted dispatch: ``out[i] = sum_j w[i, idx[i, j]] *
+    expert_idx[i, j](x[i])``.
 
     One stable argsort orders the n*K (row, slot) pairs by expert, so each
     expert runs once on a contiguous block of its rows, in token order. The
     combine is the inverse permutation, a reshape to [n, K, d] and a sum over
-    K, so neither pass scatter-adds. ``rows`` None routes every row of ``x``.
+    K, so neither pass scatter-adds.
     """
     n, k = idx.shape
     d = x.data.shape[1]
     slot_expert = idx.ravel()
     order = np.argsort(slot_expert, kind="stable")
     bounds = np.searchsorted(slot_expert[order], np.arange(len(experts) + 1))
-    src = order // k if rows is None else rows[order // k]
-    xs = x.data[src]  # [n*K, d], grouped by expert
+    xs = x.data[order // k]  # [n*K, d], grouped by expert
     w_sel = np.take_along_axis(w.data, idx, axis=1)  # [n, K]
     ys = np.empty((n * k, d), dtype=xs.dtype)
     saved = []
@@ -92,23 +90,17 @@ def _dispatch(x: Tensor, experts: list[ExpertParams], w: Tensor, idx: np.ndarray
         h_up = xs[lo:hi] @ expert.up.data
         sig = 1.0 / (1.0 + np.exp(-h_gate))
         ys[lo:hi] = (h_gate * sig * h_up) @ expert.down.data
-        saved.append((h_gate, h_up, sig))  # the products are recomputed: less to hold
+        saved.append((h_gate, h_up))  # the sigmoid and products are recomputed: less to hold
     y = np.empty_like(ys)
     y[order] = ys
     y = y.reshape(n, k, d)
-    mixed = (y * w_sel[:, :, None]).sum(axis=1)
-    if rows is None:
-        out = mixed
-    else:
-        out = np.zeros((x.data.shape[0], d), dtype=mixed.dtype)
-        out[rows] = mixed
+    out = (y * w_sel[:, :, None]).sum(axis=1)
 
     def bwd(g):
-        g_rows = g if rows is None else g[rows]
-        g_sel = (g_rows[:, None, :] * y).sum(axis=-1)
+        g_sel = (g[:, None, :] * y).sum(axis=-1)
         g_w = np.zeros_like(w.data)
         np.put_along_axis(g_w, idx, g_sel, axis=1)
-        g_ys = (g_rows[:, None, :] * w_sel[:, :, None]).reshape(n * k, d)[order]
+        g_ys = (g[:, None, :] * w_sel[:, :, None]).reshape(n * k, d)[order]
         g_xs = np.empty_like(xs)
         g_params = []
         for e, expert in enumerate(experts):
@@ -116,7 +108,8 @@ def _dispatch(x: Tensor, experts: list[ExpertParams], w: Tensor, idx: np.ndarray
                 g_params += [None, None, None]
                 continue
             lo, hi = bounds[e], bounds[e + 1]
-            h_gate, h_up, sig = saved[e]
+            h_gate, h_up = saved[e]
+            sig = 1.0 / (1.0 + np.exp(-h_gate))
             act = h_gate * sig
             gated = act * h_up
             g_gated = g_ys[lo:hi] @ expert.down.data.T
@@ -126,61 +119,45 @@ def _dispatch(x: Tensor, experts: list[ExpertParams], w: Tensor, idx: np.ndarray
             g_params += [xs[lo:hi].T @ g_h_up, xs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
         g_slots = np.empty_like(g_xs)
         g_slots[order] = g_xs
-        g_mixed = g_slots.reshape(n, k, d).sum(axis=1)
-        if rows is None:
-            g_x = g_mixed
-        else:
-            g_x = np.zeros_like(x.data)
-            g_x[rows] = g_mixed
-        return (g_x, g_w, *g_params)
+        return (g_slots.reshape(n, k, d).sum(axis=1), g_w, *g_params)
 
     params = tuple(t for ex in experts for t in (ex.up, ex.gate_proj, ex.down))
     return ad._node(out, (x, w) + params, bwd)
 
 
-def _route(x: Tensor, params: MoeLayerParams, k: int, forced: np.ndarray | None = None,
-           rows: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
+def _route(x: Tensor, params: MoeLayerParams, k: int,
+           forced: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
     """Route token rows [N, d] to k experts each and mix their outputs.
 
-    Only ``rows`` (default: all) are routed; the others get a zero output and
-    no decision row. The experts are the top-k gate logits of each routed row;
-    its ``forced`` expert (one id per routed row), if given, ranks first (its
-    logit counts as +inf for the selection only). Ties go to the lowest index.
-    The weights are the softmax over the selected logits; unselected experts
-    are never evaluated.
+    The experts are the top-k gate logits of each row; its ``forced`` expert
+    (one id per row), if given, ranks first (its logit counts as +inf for the
+    selection only). Ties go to the lowest index. The weights are the softmax
+    over the selected logits; unselected experts are never evaluated.
     """
     logits = ad.matmul(x, params.gate)
-    if rows is not None:
-        logits = ad.take(logits, rows)
     ranked = logits.data
     if forced is not None:
         ranked = ranked.copy()
         ranked[np.arange(forced.size), forced] = np.inf
     idx, sel = _topk(ranked, k)
     w = ad.softmax(logits, mask=sel)
-    y = _dispatch(x, params.experts, w, idx, rows)
+    y = _dispatch(x, params.experts, w, idx)
     weights = np.take_along_axis(w.data, idx, axis=-1)
     return y, RoutingDecision(indices=idx, weights=weights, task_forced=forced)
 
 
-def moe_forward_infer(x: Tensor, params: MoeLayerParams, k: int = 2,
-                      rows: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
-    """Inference mixing: plain top-k. Task-agnostic by construction.
-
-    ``rows`` (default: all) are the token rows to route; the rest, such as
-    padding, get a zero output and no decision row.
-    """
-    return _route(x, params, k, rows=rows)
+def moe_forward_infer(x: Tensor, params: MoeLayerParams,
+                      k: int = 2) -> tuple[Tensor, RoutingDecision]:
+    """Inference mixing: plain top-k. Task-agnostic by construction."""
+    return _route(x, params, k)
 
 
-def moe_forward_task(x: Tensor, params: MoeLayerParams, task_expert,
-                     rows: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
+def moe_forward_task(x: Tensor, params: MoeLayerParams,
+                     task_expert) -> tuple[Tensor, RoutingDecision]:
     """Training mixing: the task-mapped expert plus the best remaining expert,
     weighted by the softmax over the two selected logits.
 
-    ``task_expert`` is an expert index (scalar, or one per token row of
-    ``x``). ``rows`` (default: all) are the token rows to route, as in
-    ``moe_forward_infer``.
+    ``task_expert`` is an expert index (scalar, or one per token row of ``x``).
     """
     n_experts = len(params.experts)
     if n_experts < 2:
@@ -188,7 +165,7 @@ def moe_forward_task(x: Tensor, params: MoeLayerParams, task_expert,
     forced = np.array(np.broadcast_to(np.asarray(task_expert, dtype=np.int64), (x.data.shape[0],)))
     if forced.min() < 0 or forced.max() >= n_experts:
         raise ValueError(f"task expert id out of range [0, {n_experts})")
-    return _route(x, params, 2, forced if rows is None else forced[rows], rows)
+    return _route(x, params, 2, forced)
 
 
 def load_balance_aux(x: Tensor, gate: Tensor, decision: RoutingDecision) -> Tensor:

@@ -173,22 +173,26 @@ def nll_loss(params: TransformerParams, config: ModelConfig, batch_arrays,
              task_routing: bool = True, aux_coeff: float = 0.0):
     """Mean NLL over target tokens; train-mode forced routing unless ablated.
 
-    Pad positions are not routed, so each RoutingDecision has one row per
-    real token. Returns (loss Tensor, per-layer RoutingDecisions).
+    The forward pass runs on the real tokens only, and its last layer's MoE,
+    the final norm and the LM head on the loss rows only: each
+    RoutingDecision has one row per real token, the last one per loss row,
+    and the optional aux loss covers the same rows. Returns (loss Tensor,
+    per-layer RoutingDecisions).
     """
     ids, targets, mask, task_experts, lengths = batch_arrays
     if ids.shape[0] == 0:
         raise ValueError("empty batch")
+    real = np.arange(ids.shape[1])[None, :] < lengths[:, None]
+    loss_rows = np.flatnonzero(mask[real])  # the mask marks real positions only
     aux_terms: list | None = [] if aux_coeff > 0 else None
     if task_routing:
         logits, decisions = forward(params, config, ids, mode="train",
                                     task_experts=task_experts, aux_out=aux_terms,
-                                    lengths=lengths)
+                                    lengths=lengths, logit_rows=loss_rows)
     else:
         logits, decisions = forward(params, config, ids, mode="infer", top_k=2,
-                                    aux_out=aux_terms, lengths=lengths)
-    flat = ad.reshape(logits, (ids.size, config.vocab_size))
-    loss = ad.cross_entropy(flat, targets.ravel(), mask.ravel())
+                                    aux_out=aux_terms, lengths=lengths, logit_rows=loss_rows)
+    loss = ad.cross_entropy(logits, targets[mask])
     if aux_terms:
         aux = aux_terms[0]
         for term in aux_terms[1:]:

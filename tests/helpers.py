@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from moefix import autodiff as ad
+from moefix import model
 
 
 def finite_difference_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -78,6 +79,22 @@ def attention_reference(x: np.ndarray, layer, config) -> np.ndarray:
     p = np.exp(scores - scores.max(axis=-1, keepdims=True))
     p /= p.sum(axis=-1, keepdims=True)
     return (p @ v).transpose(0, 2, 1, 3).reshape(b, t, d) @ layer.wo.data
+
+
+def nll_reference(params, config, batch_arrays, task_routing: bool = True) -> ad.Tensor:
+    """Per-sample unpadded oracle for ``training.nll_loss``: each sample runs
+    alone through the whole forward pass, every position to the LM head, and
+    the loss is its masked mean NLL weighted by its share of the loss tokens."""
+    ids, targets, mask, task_experts, lengths = batch_arrays
+    total = None
+    for i, n in enumerate(lengths):
+        route = (dict(mode="train", task_experts=int(task_experts[i])) if task_routing
+                 else dict(mode="infer", top_k=2))
+        logits, _ = model.forward(params, config, ids[i, :n], **route)
+        nll = ad.cross_entropy(logits, targets[i, :n], mask[i, :n])
+        share = ad.Tensor(np.asarray(mask[i].sum() / mask.sum(), dtype=logits.dtype))
+        total = ad.mul(nll, share) if total is None else ad.add(total, ad.mul(nll, share))
+    return total
 
 
 def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:

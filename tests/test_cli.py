@@ -44,6 +44,23 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def with_foreign_character(data, path):
+    """Copy the dataset ``data`` to ``path`` with an 'é' in the second
+    record's first hypothesis; returns the path."""
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[1])
+    record["hypotheses"][0] += " caf\u00e9"
+    lines[1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def assert_foreign_character_named(code, captured, where):
+    assert code == 2
+    assert captured.out == ""  # rejected before any output
+    assert f"{where}: character 'é' is not in the tokenizer alphabet" in captured.err
+
+
 class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -340,6 +357,16 @@ class TestTrain:
                        "--out-dir", str(tmp_path / "o")) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_foreign_character_names_file_and_line(self, tiny_config, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli("--config", tiny_config, "gen-data", "--out", str(data))
+        foreign = with_foreign_character(data, tmp_path / "foreign.jsonl")
+        capsys.readouterr()
+        code = run_cli("--config", tiny_config, "train", "--data", str(foreign),
+                       "--out-dir", str(tmp_path / "o"))
+        assert_foreign_character_named(code, capsys.readouterr(), f"{foreign}: line 2")
+        assert not (tmp_path / "o").exists()
+
     def test_numerical_failure_exit_code(self, tiny_config, tmp_path, monkeypatch, capsys):
         data = tmp_path / "data.jsonl"
         run_cli("--config", tiny_config, "gen-data", "--out", str(data))
@@ -383,12 +410,25 @@ class TestEvalCorrectStats:
         assert [r[0] for r in rows[1:]] == ["asr", "ocr", "typo", "overall"]
         assert rows[-1][1] == str(len(lines))
 
+    def test_eval_foreign_character_names_file_and_line(self, trained_run, tmp_path, capsys):
+        tiny_config, data, out = trained_run
+        foreign = with_foreign_character(data, tmp_path / "foreign.jsonl")
+        capsys.readouterr()
+        code = run_cli("eval", "--checkpoint", str(out / "model.ck"), "--data", str(foreign))
+        assert_foreign_character_named(code, capsys.readouterr(), f"{foreign}: line 2")
+
     def test_correct_reads_stdin(self, trained_run, monkeypatch, capsys):
         tiny_config, data, out = trained_run
         monkeypatch.setattr(sys, "stdin", io.StringIO("the cat sleeps\nthe cat sleeps\n"))
         code = run_cli("correct", "--checkpoint", str(out / "model.ck"), "--task", "asr")
         assert code == 0
         capsys.readouterr()
+
+    def test_correct_foreign_character_names_stdin_line(self, trained_run, monkeypatch, capsys):
+        tiny_config, data, out = trained_run
+        monkeypatch.setattr(sys, "stdin", io.StringIO("the cat\n\nthe caf\u00e9\n"))
+        code = run_cli("correct", "--checkpoint", str(out / "model.ck"), "--task", "asr")
+        assert_foreign_character_named(code, capsys.readouterr(), "stdin: line 3")
 
     def test_correct_unknown_task_exits_2(self, trained_run, monkeypatch, capsys):
         tiny_config, data, out = trained_run
@@ -425,6 +465,14 @@ class TestEvalCorrectStats:
         rows = [l for l in lines if l and not l.startswith("#")]
         assert rows[0] == "task,expert,fraction,mean_weight"
         assert len(rows) == 1 + 3 * 2
+
+    def test_route_stats_foreign_character_names_file_and_line(self, trained_run, tmp_path,
+                                                                capsys):
+        tiny_config, data, out = trained_run
+        foreign = with_foreign_character(data, tmp_path / "foreign.jsonl")
+        capsys.readouterr()
+        code = run_cli("route-stats", "--checkpoint", str(out / "model.ck"), "--data", str(foreign))
+        assert_foreign_character_named(code, capsys.readouterr(), f"{foreign}: line 2")
 
     def test_incompatible_checkpoint_version_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ck"

@@ -204,7 +204,7 @@ class TestDatasetIO:
         ds = build_mixture(registry, default_channels(), pool, 5, 3, master_seed=2)
         path = tmp_path / "data.jsonl"
         write_dataset(path, ds.samples)
-        back = read_dataset(path, registry)
+        back = read_dataset(path, registry, ALPHABET)
         assert back == ds.samples
 
     def test_field_order_documented(self, registry, tmp_path):
@@ -220,13 +220,13 @@ class TestDatasetIO:
         good = json.dumps({"task": "asr", "hypotheses": ["a"], "target": "a", "seed": 1})
         path.write_text(good + "\nnot json\n")
         with pytest.raises(ValueError, match="line 2"):
-            read_dataset(path, registry)
+            read_dataset(path, registry, ALPHABET)
 
     def test_unknown_task_in_file(self, registry, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"task": "mt", "hypotheses": ["a"], "target": "a", "seed": 1}) + "\n")
         with pytest.raises(ValueError, match="line 1"):
-            read_dataset(path, registry)
+            read_dataset(path, registry, ALPHABET)
 
 
 class TestSources:

@@ -15,6 +15,7 @@ from moefix.model import (
     named_tensors,
     parameters,
     rope_tables,
+    row_layout,
 )
 from moefix.moe import RoutingDecision
 
@@ -84,49 +85,65 @@ class TestAttention:
         params = init_params(cfg, seed=6, dtype="f64")
         layer = params.layers[0]
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 1, cfg.d_model)))
-        got = causal_attention(x, layer, cfg, np.arange(1)).data
+        x = Tensor(rng.normal(size=(1, cfg.d_model)))
+        got = causal_attention(x, layer, cfg, row_layout(cfg, [1], np.float64)).data
         # with T=1 the attention matrix is [[1]], so output reduces to (x Wv) Wo
-        want = (x.data.reshape(1, -1) @ layer.wv.data) @ layer.wo.data
-        assert np.abs(got.reshape(1, -1) - want).max() < 1e-12
+        want = (x.data @ layer.wv.data) @ layer.wo.data
+        assert np.abs(got - want).max() < 1e-12
 
     def test_matches_dense_reference_on_a_padded_batch(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=7, dtype="f64")
         rng = np.random.default_rng(1)
         tokens = rng.integers(1, cfg.vocab_size, size=(3, 10))
-        tokens[1, 7:] = tokens[2, 3:] = 0  # right padding, as make_batch_arrays lays it out
+        lengths = np.array([7, 10, 3])  # not sorted: the node sorts them
+        real = np.arange(10) < lengths[:, None]
+        tokens[~real] = 0  # right padding, as make_batch_arrays lays it out
         layer = params.layers[0]
         x = ad.rms_norm(ad.take(params.embedding, tokens), layer.attn_norm, cfg.rms_eps)
-        got = causal_attention(x, layer, cfg, np.arange(10)).data
-        assert np.abs(got - attention_reference(x.data, layer, cfg)).max() <= 1e-12
+        got = causal_attention(Tensor(x.data[real]), layer, cfg,
+                               row_layout(cfg, lengths, np.float64)).data
+        # under the causal mask a real position never reaches a pad one
+        want = attention_reference(x.data, layer, cfg)[real]
+        assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("t", [64, 65, 2 * 64 + 5])
     def test_matches_dense_reference_across_query_blocks(self, t):
         cfg = tiny_config(max_seq_len=160)
         params = init_params(cfg, seed=22, dtype="f64")
         x = np.random.default_rng(t).normal(size=(2, t, cfg.d_model))
-        got = causal_attention(Tensor(x), params.layers[0], cfg, np.arange(t)).data
-        assert np.abs(got - attention_reference(x, params.layers[0], cfg)).max() <= 1e-12
+        got = causal_attention(Tensor(x.reshape(2 * t, -1)), params.layers[0], cfg,
+                               row_layout(cfg, [t, t], np.float64)).data
+        want = attention_reference(x, params.layers[0], cfg).reshape(2 * t, -1)
+        assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("t", [1, 9, 2 * 64 + 5])
     def test_gradients_match_finite_differences(self, t):
         # x and the four projections, through one block, a partial one, and three
+        self._gradcheck(np.array([t]))
+
+    def test_gradients_match_finite_differences_on_a_ragged_batch(self):
+        # a row shorter than one block, one longer than two, one in between
+        self._gradcheck(np.array([5, 2 * 64 + 5, 70]))
+
+    @staticmethod
+    def _gradcheck(lengths):
         cfg = tiny_config(d_model=8, n_heads=2, max_seq_len=160)
         layer = init_params(cfg, seed=23, dtype="f64").layers[0]
-        rng = np.random.default_rng(t)
-        x = Tensor(rng.normal(size=(1, t, cfg.d_model)), requires_grad=True)
-        proj = rng.normal(size=(1, t, cfg.d_model))
+        rng = np.random.default_rng(int(lengths.sum()))
+        x = Tensor(rng.normal(size=(lengths.sum(), cfg.d_model)), requires_grad=True)
+        proj = rng.normal(size=x.shape)
 
         def build():
-            out = causal_attention(x, layer, cfg, np.arange(t))
+            out = causal_attention(x, layer, cfg, row_layout(cfg, lengths, np.float64))
             return ad.sum_(ad.mul(out, Tensor(proj)))
 
         gradcheck(build, [x, layer.wq, layer.wk, layer.wv, layer.wo])
 
     def test_train_tape_holds_no_score_matrix(self):
         # a [T, T] array on the tape, as a node output or saved for a backward
-        # pass, is the quadratic memory the fused node avoids
+        # pass, is the quadratic memory the fused node avoids; a node output
+        # with one row per [B, T] position would be work done on pads
         t = 9
 
         def tape(n_layers):
@@ -140,18 +157,26 @@ class TestAttention:
 
         nodes = tape(3)
         for node in nodes:
+            assert node.data.shape[0] != 2 * t, node
             cells = [c.cell_contents for c in node._backward.__closure__ or ()]
             for a in [node.data] + [c for c in cells if isinstance(c, np.ndarray)]:
                 assert a.shape[-2:] != (t, t), node
-        # per layer: 2 norms, attention, 2 residual adds, 2 reshapes and the
-        # MoE's gate matmul, row take, softmax and dispatch
-        assert (len(nodes) - len(tape(1))) / 2 == 11
+        # per layer: 2 norms, attention, 2 residual adds and the MoE's gate
+        # matmul, softmax and dispatch
+        assert (len(nodes) - len(tape(1))) / 2 == 8
 
     def test_cache_path_refuses_to_record(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=25)
         with ad.Graph(), pytest.raises(ValueError, match="inference-only"):
             forward(params, cfg, np.zeros(3, dtype=np.int64), cache=KVCache(cfg.n_layers))
+
+    def test_rejects_a_layout_of_another_precision(self):
+        cfg = tiny_config()
+        layer = init_params(cfg, seed=27, dtype="f64").layers[0]
+        x = Tensor(np.zeros((3, cfg.d_model)))
+        with pytest.raises(ValueError, match="row layout built for complex64"):
+            causal_attention(x, layer, cfg, row_layout(cfg, [3], np.float32))
 
     def test_rejects_overlong_sequence(self):
         cfg = tiny_config(max_seq_len=8)
@@ -219,14 +244,15 @@ class TestForward:
         aux = []
         logits, decisions = forward(params, cfg, tokens, mode=mode, task_experts=[0, 2],
                                     aux_out=aux, lengths=np.array([9, 5]))
+        assert logits.shape == (14, cfg.vocab_size)  # one row per real position
         assert all(d.indices.shape[0] == 14 for d in decisions)
         if mode == "train":
             assert all(d.task_forced.tolist() == [0] * 9 + [2] * 5 for d in decisions)
         batch_seen, seen[:] = seen[:], []
         alone = [forward(params, cfg, seq, mode=mode, task_experts=e, aux_out=[])
                  for seq, e in ((long, 0), (short, 2))]
-        assert np.allclose(logits.data[0], alone[0][0].data, rtol=1e-12, atol=1e-12)
-        assert np.allclose(logits.data[1, :5], alone[1][0].data, rtol=1e-12, atol=1e-12)
+        assert np.allclose(logits.data[:9], alone[0][0].data, rtol=1e-12, atol=1e-12)
+        assert np.allclose(logits.data[9:], alone[1][0].data, rtol=1e-12, atol=1e-12)
         for i, layer in enumerate(params.layers):
             # the same real rows, routed without pads
             x_real = np.concatenate([seen[i][0], seen[cfg.n_layers + i][0]])
@@ -258,14 +284,13 @@ class TestForward:
 
         # dense reference: same backbone with the expert called directly
         layer = params.layers[0]
-        x = ad.take(params.embedding, tokens[None, :])
+        x = ad.take(params.embedding, tokens)
         x = ad.add(x, causal_attention(ad.rms_norm(x, layer.attn_norm, cfg.rms_eps),
-                                       layer, cfg, np.arange(9)))
+                                       layer, cfg, row_layout(cfg, [9], np.float32)))
         h = ad.rms_norm(x, layer.ffn_norm, cfg.rms_eps)
-        y = swiglu_reference(h.data.reshape(9, cfg.d_model), layer.moe.experts[0])
-        x = ad.add(x, Tensor(y.reshape(1, 9, cfg.d_model)))
+        x = ad.add(x, Tensor(swiglu_reference(h.data, layer.moe.experts[0])))
         x = ad.rms_norm(x, params.final_norm, cfg.rms_eps)
-        want = ad.matmul(x, ad.transpose(params.embedding)).data[0]
+        want = ad.matmul(x, ad.transpose(params.embedding)).data
         assert np.array_equal(got.data, want)
 
     def test_param_count_consistent(self):

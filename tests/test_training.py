@@ -30,6 +30,8 @@ from moefix.training import (
     train,
 )
 
+from helpers import nll_reference
+
 
 def make_registry():
     return TaskRegistry(["asr", "ocr", "typo"])
@@ -197,11 +199,12 @@ class TestNllLoss:
         arrays = make_batch_arrays(encoded[:1], tok.pad_id)
         ids, targets = arrays[0], arrays[1]
 
-        def perfect_forward(params, config, tokens, **kwargs):
+        def perfect_forward(params, config, tokens, lengths, logit_rows, **kwargs):
             logits = np.full(tokens.shape + (config.vocab_size,), -1e4)
             b, t = tokens.shape
             logits[np.arange(b)[:, None], np.arange(t)[None, :], targets] = 1e4
-            return Tensor(logits), []
+            real = np.arange(t)[None, :] < lengths[:, None]
+            return Tensor(logits[real][logit_rows]), []
 
         monkeypatch.setattr(tr, "forward", perfect_forward)
         loss, _ = nll_loss(ckpt.params, ckpt.config, arrays)
@@ -238,7 +241,35 @@ class TestNllLoss:
         assert lengths.sum() == (ids != tok.pad_id).sum()
         with Graph():
             _, decisions = nll_loss(ckpt.params, ckpt.config, arrays, task_routing=task_routing)
-        assert all(d.indices.shape == (lengths.sum(), 2) for d in decisions)
+        # the last layer's MoE runs on the loss rows only
+        *inner, last = decisions
+        assert all(d.indices.shape == (lengths.sum(), 2) for d in inner)
+        assert last.indices.shape == (arrays[2].sum(), 2)
+        assert arrays[2].sum() < lengths.sum()
+
+    @pytest.mark.parametrize("task_routing", [True, False])
+    def test_matches_per_sample_unpadded_oracle(self, task_routing):
+        ckpt, registry, tok = make_setup()
+        encoded, _ = encode_samples(make_dataset(registry, n=2), tok, ckpt.expert_map, 192)
+        arrays = make_batch_arrays(encoded, tok.pad_id)
+        assert len(set(arrays[4].tolist())) > 1  # ragged
+
+        def loss_and_grads(build):
+            params = ckpt.named_params()
+            ad.zero_grads(t for _, t in params)
+            with Graph():
+                loss = build()
+                ad.backward(loss)
+            return float(loss.data), {name: np.zeros_like(t.data) if t.grad is None else t.grad
+                                      for name, t in params}
+
+        loss, grads = loss_and_grads(lambda: nll_loss(ckpt.params, ckpt.config, arrays,
+                                                      task_routing=task_routing)[0])
+        want_loss, want_grads = loss_and_grads(lambda: nll_reference(
+            ckpt.params, ckpt.config, arrays, task_routing))
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        for name, want in want_grads.items():
+            assert np.abs(grads[name] - want).max() <= 1e-12 * np.abs(want).max(), name
 
     def test_aux_coefficient_perturbs_loss(self):
         ckpt, registry, tok = make_setup()
