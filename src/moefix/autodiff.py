@@ -265,24 +265,15 @@ def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return _node(out, (x,), bwd)
 
 
-def softmax(x: Tensor, mask: np.ndarray | None = None, axis: int = -1) -> Tensor:
-    """Numerically stable softmax; masked-out positions are exactly zero.
-
-    ``mask`` is a boolean array broadcastable to ``x`` with True meaning keep;
-    masked logits contribute as -inf. A fully masked row is an error.
-    """
+def softmax(x: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stable softmax."""
     z = x.data
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if not np.broadcast_to(mask, z.shape).any(axis=axis).all():
-            raise ValueError("softmax: at least one row is fully masked")
-        z = np.where(mask, z, -np.inf)
     zmax = z.max(axis=axis, keepdims=True)
     e = np.exp(z - zmax)
     y = e / e.sum(axis=axis, keepdims=True)
 
     def bwd(g):
-        # dx = y * (g - sum(g * y)); masked entries have y == 0, hence dx == 0
+        # dx = y * (g - sum(g * y))
         dot = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - dot),)
 
@@ -296,7 +287,7 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
         raise ShapeError(f"rms_norm weight shape {weight.data.shape} != ({d},)")
     if eps <= 0:
         raise ValueError(f"rms_norm eps must be positive, got {eps}")
-    r = 1.0 / np.sqrt(np.mean(np.square(x.data), axis=-1, keepdims=True) + eps)
+    r = 1.0 / np.sqrt(np.square(x.data).sum(axis=-1, keepdims=True) / d + eps)
     out = x.data * r * weight.data
 
     def bwd(g):

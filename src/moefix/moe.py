@@ -50,57 +50,64 @@ class RoutingDecision:
     task_forced: np.ndarray | None = None  # [n] int
 
 
-def _topk(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the k largest logits per row (ties to the lowest index) and
-    the matching boolean selection mask."""
+def _topk(logits: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest logits per row, best first (ties to the
+    lowest index)."""
     n = logits.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} experts")
-    order = np.argsort(-logits, axis=-1, kind="stable")
-    idx = order[..., :k]
-    sel = np.zeros(logits.shape, dtype=bool)
-    np.put_along_axis(sel, idx, True, axis=-1)
-    return idx, sel
+    return np.argsort(-logits, axis=-1, kind="stable")[..., :k]
 
 
-def _dispatch(x: Tensor, experts: list[ExpertParams], w: Tensor, idx: np.ndarray) -> Tensor:
-    """Dropless sorted dispatch: ``out[i] = sum_j w[i, idx[i, j]] *
-    expert_idx[i, j](x[i])``.
+def _dispatch(x: Tensor, experts: list[ExpertParams], logits: Tensor,
+              idx: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    """Dropless sorted dispatch: ``out[i] = sum_j w[i, j] *
+    expert_idx[i, j](x[i])``, where ``w[i]`` is the softmax over the K
+    selected gate logits ``logits[i, idx[i]]``. Returns ``out`` and ``w``.
 
     One stable argsort orders the n*K (row, slot) pairs by expert, so each
     expert runs once on a contiguous block of its rows, in token order. The
     combine is the inverse permutation, a reshape to [n, K, d] and a sum over
-    K, so neither pass scatter-adds.
+    K, so neither pass scatter-adds. The gate gradient is nonzero at the
+    selected logits only. Outside a graph the node saves nothing.
     """
     n, k = idx.shape
     d = x.data.shape[1]
+    picked = (np.arange(n)[:, None], idx)
+    z = logits.data[picked]  # [n, K]
+    w = np.exp(z - z.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    params = tuple(t for ex in experts for t in (ex.up, ex.gate_proj, ex.down))
+    parents = (x, logits) + params
+    save = ad.recording(parents)
     slot_expert = idx.ravel()
     order = np.argsort(slot_expert, kind="stable")
     bounds = np.searchsorted(slot_expert[order], np.arange(len(experts) + 1))
     xs = x.data[order // k]  # [n*K, d], grouped by expert
-    w_sel = np.take_along_axis(w.data, idx, axis=1)  # [n, K]
     ys = np.empty((n * k, d), dtype=xs.dtype)
-    saved = []
+    saved = [None] * len(experts)
     for e, expert in enumerate(experts):
         lo, hi = bounds[e], bounds[e + 1]
         if lo == hi:
-            saved.append(None)
             continue
         h_gate = xs[lo:hi] @ expert.gate_proj.data
         h_up = xs[lo:hi] @ expert.up.data
         sig = 1.0 / (1.0 + np.exp(-h_gate))
         ys[lo:hi] = (h_gate * sig * h_up) @ expert.down.data
-        saved.append((h_gate, h_up))  # the sigmoid and products are recomputed: less to hold
+        if save:
+            saved[e] = (h_gate, h_up)  # the sigmoid and products are recomputed: less to hold
     y = np.empty_like(ys)
     y[order] = ys
     y = y.reshape(n, k, d)
-    out = (y * w_sel[:, :, None]).sum(axis=1)
+    out = (y * w[:, :, None]).sum(axis=1)
+    if not save:
+        return Tensor(out), w
 
     def bwd(g):
-        g_sel = (g[:, None, :] * y).sum(axis=-1)
-        g_w = np.zeros_like(w.data)
-        np.put_along_axis(g_w, idx, g_sel, axis=1)
-        g_ys = (g[:, None, :] * w_sel[:, :, None]).reshape(n * k, d)[order]
+        g_w = (g[:, None, :] * y).sum(axis=-1)
+        g_logits = np.zeros_like(logits.data)
+        g_logits[picked] = w * (g_w - (g_w * w).sum(axis=1, keepdims=True))
+        g_ys = (g[:, None, :] * w[:, :, None]).reshape(n * k, d)[order]
         g_xs = np.empty_like(xs)
         g_params = []
         for e, expert in enumerate(experts):
@@ -119,10 +126,9 @@ def _dispatch(x: Tensor, experts: list[ExpertParams], w: Tensor, idx: np.ndarray
             g_params += [xs[lo:hi].T @ g_h_up, xs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
         g_slots = np.empty_like(g_xs)
         g_slots[order] = g_xs
-        return (g_slots.reshape(n, k, d).sum(axis=1), g_w, *g_params)
+        return (g_slots.reshape(n, k, d).sum(axis=1), g_logits, *g_params)
 
-    params = tuple(t for ex in experts for t in (ex.up, ex.gate_proj, ex.down))
-    return ad._node(out, (x, w) + params, bwd)
+    return ad._node(out, parents, bwd), w
 
 
 def _route(x: Tensor, params: MoeLayerParams, k: int,
@@ -132,17 +138,16 @@ def _route(x: Tensor, params: MoeLayerParams, k: int,
     The experts are the top-k gate logits of each row; its ``forced`` expert
     (one id per row), if given, ranks first (its logit counts as +inf for the
     selection only). Ties go to the lowest index. The weights are the softmax
-    over the selected logits; unselected experts are never evaluated.
+    over the selected logits, taken in the dispatch node; unselected experts
+    are never evaluated.
     """
     logits = ad.matmul(x, params.gate)
     ranked = logits.data
     if forced is not None:
         ranked = ranked.copy()
         ranked[np.arange(forced.size), forced] = np.inf
-    idx, sel = _topk(ranked, k)
-    w = ad.softmax(logits, mask=sel)
-    y = _dispatch(x, params.experts, w, idx)
-    weights = np.take_along_axis(w.data, idx, axis=-1)
+    idx = _topk(ranked, k)
+    y, weights = _dispatch(x, params.experts, logits, idx)
     return y, RoutingDecision(indices=idx, weights=weights, task_forced=forced)
 
 

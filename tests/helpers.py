@@ -56,6 +56,15 @@ def swiglu_reference(x: np.ndarray, expert) -> np.ndarray:
     return (h * sig * (x @ expert.up.data)) @ expert.down.data
 
 
+def masked_softmax_reference(logits: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Softmax over the kept logits of each row and exactly zero elsewhere,
+    the oracle for the MoE gate weights: dropped logits count as -inf, and
+    the sum runs over all columns in column order."""
+    z = np.where(keep, logits, -np.inf)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def attention_reference(x: np.ndarray, layer, config) -> np.ndarray:
     """Causal multi-head attention over a whole sequence in dense numpy, the
     oracle for ``model.causal_attention``: rotary q/k at positions 0..T-1, all

@@ -45,26 +45,6 @@ class TestSoftmax:
         assert y[0] == pytest.approx(1.0)
         assert y[1] == pytest.approx(0.0, abs=1e-300)
 
-    def test_masked_pair(self):
-        # softmax over logits (2, 1) only: 1/(1+e^-1) and its complement
-        y = ad.softmax(t64([2.0, 1.0, 0.0]), mask=np.array([True, True, False])).data
-        assert y[0] == pytest.approx(0.7310585786300049, abs=1e-12)
-        assert y[1] == pytest.approx(0.2689414213699951, abs=1e-12)
-        assert y[2] == 0.0
-
-    def test_rows_sum_to_one_and_masked_exactly_zero(self):
-        rng = np.random.default_rng(3)
-        x = t64(rng.normal(size=(50, 8)))
-        mask = rng.random((50, 8)) < 0.6
-        mask[:, 0] = True
-        y = ad.softmax(x, mask=mask).data
-        assert np.abs(y.sum(axis=-1) - 1.0).max() <= 1e-6
-        assert (y[~mask] == 0.0).all()
-
-    def test_fully_masked_row_raises(self):
-        with pytest.raises(ValueError, match="fully masked"):
-            ad.softmax(Tensor([[1.0, 2.0]]), mask=np.array([[False, False]]))
-
 
 class TestRmsNorm:
     def test_unit_rms(self):
@@ -258,13 +238,6 @@ def _case_softmax(rng):
     return [x], lambda: ad.softmax(x)
 
 
-def _case_softmax_masked(rng):
-    x = _rand(rng, 3, 5)
-    mask = rng.random((3, 5)) < 0.5
-    mask[:, 2] = True
-    return [x], lambda: ad.softmax(x, mask=mask)
-
-
 def _case_rms_norm(rng):
     x, w = _rand(rng, 3, 6), _rand(rng, 6)
     return [x, w], lambda: ad.rms_norm(x, w, eps=1e-6)
@@ -292,7 +265,6 @@ OP_CASES = {
     "sum": _case_sum,
     "mean": _case_mean,
     "softmax": _case_softmax,
-    "softmax_masked": _case_softmax_masked,
     "rms_norm": _case_rms_norm,
     "take": _case_take,
     "cross_entropy": _case_cross_entropy,

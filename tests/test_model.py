@@ -162,8 +162,8 @@ class TestAttention:
             for a in [node.data] + [c for c in cells if isinstance(c, np.ndarray)]:
                 assert a.shape[-2:] != (t, t), node
         # per layer: 2 norms, attention, 2 residual adds and the MoE's gate
-        # matmul, softmax and dispatch
-        assert (len(nodes) - len(tape(1))) / 2 == 8
+        # matmul and dispatch
+        assert (len(nodes) - len(tape(1))) / 2 == 7
 
     def test_cache_path_refuses_to_record(self):
         cfg = tiny_config()
@@ -339,6 +339,19 @@ class TestGeneration:
         assert all(a.dtype == np.float32 for a in cache.k + cache.v)
         assert cache.length == len(tokens)
         assert np.abs(np.concatenate(steps) - full.data).max() < 1e-5
+
+    @pytest.mark.parametrize("n_layers", [1, 2, 4])
+    def test_cached_step_creates_seven_tensors_per_layer(self, n_layers):
+        # per layer: 2 norms, attention, 2 residual adds, the gate matmul and
+        # the dispatch; then the embedding take, the final norm and the LM
+        # head's transpose and matmul
+        cfg = tiny_config(n_layers=n_layers)
+        params = init_params(cfg, seed=28)
+        cache = KVCache(cfg.n_layers)
+        forward_incremental(params, cfg, np.array([1, 2, 3]), cache)
+        before = Tensor(0).node_id
+        forward_incremental(params, cfg, np.array([4]), cache)
+        assert Tensor(0).node_id - before - 1 == 7 * n_layers + 4
 
     def test_incremental_rejects_overflowing_cache(self):
         cfg = tiny_config(max_seq_len=8)

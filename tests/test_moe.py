@@ -12,7 +12,13 @@ from moefix.moe import (
     moe_forward_task,
 )
 
-from helpers import finite_difference_grad, gradcheck, max_rel_err, swiglu_reference
+from helpers import (
+    finite_difference_grad,
+    gradcheck,
+    masked_softmax_reference,
+    max_rel_err,
+    swiglu_reference,
+)
 
 
 def make_layer(rng, d=6, d_ff=8, n_experts=4, dtype=np.float64, tie_experts=False):
@@ -64,6 +70,29 @@ class TestGateTopk:
         _, dec = moe_forward_infer(Tensor(np.array([[5.0, 5.0, 0.0]])), identity_gate_layer(3), k=1)
         assert dec.indices.tolist() == [[0]]
         assert dec.weights[0, 0] == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("route, k", [("infer", 1), ("infer", 2), ("infer", 3), ("task", 2)])
+    def test_weights_match_masked_softmax_oracle(self, route, k):
+        # the sum over K runs in rank order, the oracle's in expert order:
+        # the same floats for K <= 2, not always for K = 3
+        rng = np.random.default_rng(18)
+        n = 200
+        layer = make_layer(rng, d=6, n_experts=4)
+        x = Tensor(rng.normal(size=(n, 6)))
+        if route == "infer":
+            _, dec = moe_forward_infer(x, layer, k=k)
+        else:
+            _, dec = moe_forward_task(x, layer, rng.integers(0, 4, size=n))
+        keep = np.zeros((n, 4), dtype=bool)
+        np.put_along_axis(keep, dec.indices, True, axis=1)
+        oracle = masked_softmax_reference(x.data @ layer.gate.data, keep)
+        want = np.take_along_axis(oracle, dec.indices, axis=1)
+        assert dec.weights.dtype == np.float64
+        if k <= 2:
+            assert dec.weights.tobytes() == want.tobytes()
+        else:
+            assert (np.abs(dec.weights - want) <= 1e-12 * want).all()
+        assert np.abs(dec.weights.sum(axis=1) - 1.0).max() <= 1e-12
 
     def test_k_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -224,19 +253,20 @@ class TestDispatchGradients:
 
     N_ROWS = 6
     ROWS = {"all": None, "subset": np.array([0, 2, 3, 5]), "one_row": np.array([4])}
+    K = {"infer": 2, "task": 2, "infer_k3": 3}
 
-    @staticmethod
-    def _route(name, x, layer, rows):
+    @classmethod
+    def _route(cls, name, x, layer, rows):
         """Route the ``rows`` of ``x`` (None: all), taken as the model takes
         the loss rows before its last MoE."""
         tasks = np.array([1, 0, 3, 2, 1, 0])
         if rows is not None:
             x, tasks = ad.take(x, rows), tasks[rows]
-        if name == "infer":
-            return moe_forward_infer(x, layer, k=2)
-        return moe_forward_task(x, layer, tasks)
+        if name == "task":
+            return moe_forward_task(x, layer, tasks)
+        return moe_forward_infer(x, layer, k=cls.K[name])
 
-    @pytest.mark.parametrize("route", ["infer", "task"])
+    @pytest.mark.parametrize("route", sorted(K))
     @pytest.mark.parametrize("case", sorted(ROWS))
     def test_gradcheck(self, route, case):
         rng = np.random.default_rng(16)
@@ -246,7 +276,7 @@ class TestDispatchGradients:
         n_routed = self.N_ROWS if rows is None else rows.size
         proj = Tensor(rng.normal(size=(n_routed, 5)))
         _, dec = self._route(route, x, layer, rows)
-        assert dec.indices.shape == (n_routed, 2)
+        assert dec.indices.shape == (n_routed, self.K[route])
         idle = set(range(4)) - set(dec.indices.ravel().tolist())
         assert bool(idle) == (case == "one_row")  # an expert with no rows
         params = [x, layer.gate] + [t for ex in layer.experts
