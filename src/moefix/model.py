@@ -100,32 +100,46 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
     return out.astype(dtype)
 
 
+def build_params(config: ModelConfig, make) -> TransformerParams:
+    """The parameters of ``config``, each the array ``make(name, shape)``
+    under its ``named_tensors`` name. ``make`` is called layer by layer, each
+    layer's experts first, then the embedding and the final norm."""
+    d, dff = config.d_model, config.d_ff
+
+    def tensor(name, *shape):
+        return Tensor(make(name, shape), requires_grad=True)
+
+    layers = []
+    for i in range(config.n_layers):
+        p = f"layers.{i}."
+        experts = [ExpertParams(up=tensor(f"{p}moe.experts.{e}.up", d, dff),
+                                gate_proj=tensor(f"{p}moe.experts.{e}.gate_proj", d, dff),
+                                down=tensor(f"{p}moe.experts.{e}.down", dff, d))
+                   for e in range(config.n_experts)]
+        layers.append(LayerParams(
+            attn_norm=tensor(p + "attn_norm", d), wq=tensor(p + "wq", d, d),
+            wk=tensor(p + "wk", d, d), wv=tensor(p + "wv", d, d), wo=tensor(p + "wo", d, d),
+            ffn_norm=tensor(p + "ffn_norm", d),
+            moe=MoeLayerParams(gate=tensor(p + "moe.gate", d, config.n_experts), experts=experts),
+        ))
+    return TransformerParams(
+        embedding=tensor("embedding", config.vocab_size, d),
+        layers=layers,
+        final_norm=tensor("final_norm", d),
+    )
+
+
 def init_params(config: ModelConfig, seed: int, dtype: str = "f32") -> TransformerParams:
     """Fresh parameters: weights ~ N(0, 0.02^2) truncated at 3 sigma, unit norms."""
     np_dtype = ad.DTYPES[dtype]
     rng = np.random.default_rng(seed)
-    d, dff, ne = config.d_model, config.d_ff, config.n_experts
 
-    def weight(*shape):
-        return Tensor(_trunc_normal(rng, shape, INIT_STD, np_dtype), requires_grad=True)
+    def make(name, shape):
+        if name.endswith("norm"):
+            return np.ones(shape, dtype=np_dtype)
+        return _trunc_normal(rng, shape, INIT_STD, np_dtype)
 
-    def ones(n):
-        return Tensor(np.ones(n, dtype=np_dtype), requires_grad=True)
-
-    layers = []
-    for _ in range(config.n_layers):
-        experts = [ExpertParams(up=weight(d, dff), gate_proj=weight(d, dff), down=weight(dff, d))
-                   for _ in range(ne)]
-        layers.append(LayerParams(
-            attn_norm=ones(d), wq=weight(d, d), wk=weight(d, d), wv=weight(d, d),
-            wo=weight(d, d), ffn_norm=ones(d),
-            moe=MoeLayerParams(gate=weight(d, ne), experts=experts),
-        ))
-    return TransformerParams(
-        embedding=weight(config.vocab_size, d),
-        layers=layers,
-        final_norm=ones(d),
-    )
+    return build_params(config, make)
 
 
 def rope_tables(config: ModelConfig, positions: np.ndarray, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -379,6 +393,13 @@ class KVCache:
         self.v[i][0, :, self.length:end] = np.swapaxes(v, 0, 1)
         return self.k[i][:, :, :end], self.v[i][:, :, :end]
 
+    def truncate(self, length: int) -> None:
+        """Keep the first ``length`` positions; the next write overwrites the
+        keys and values past them."""
+        if not 0 <= length <= self.length:
+            raise ValueError(f"cannot truncate a cache of {self.length} positions to {length}")
+        self.length = length
+
 
 def forward(
     params: TransformerParams,
@@ -468,6 +489,31 @@ def forward_incremental(
     return logits.data, decisions
 
 
+# Most ids ``generate`` drafts into one cached pass, and the longest context
+# suffix its draft lookup matches.
+_DRAFT = 4
+_NGRAM = 3
+
+
+def _lookup(context: np.ndarray, limit: int) -> np.ndarray:
+    """A draft of up to ``limit`` ids: those that followed the latest earlier
+    occurrence of the longest suffix, of at most ``_NGRAM`` ids, of
+    ``context``; none when its last id occurs nowhere before. This is
+    reference-based drafting (LLMA, Yang et al. 2023): a corrector mostly
+    copies its prompt, so the context predicts what follows."""
+    n = len(context)
+    ends = np.ones(n - 1, dtype=bool)  # where an earlier occurrence of the suffix may end
+    last = None
+    for g in range(1, min(_NGRAM, n - 1) + 1):
+        ends[:g - 1] = False
+        ends[g - 1:] &= context[:n - g] == context[n - g]
+        hits = np.flatnonzero(ends)
+        if not hits.size:
+            break
+        last = hits[-1]
+    return context[:0] if last is None else context[last + 1:last + 1 + limit]
+
+
 def generate(
     params: TransformerParams,
     config: ModelConfig,
@@ -476,15 +522,39 @@ def generate(
     eos_id: int,
     top_k: int | None = None,
 ) -> np.ndarray:
-    """Greedy decoding after ``prompt_ids``; stops at EOS or the length caps."""
+    """Greedy decoding after ``prompt_ids``; stops at EOS or the length caps.
+
+    Each cached pass drafts and verifies: it runs the last emitted id plus a
+    draft from ``_lookup``, accepts the longest drafted prefix that equals
+    the pass's own argmaxes and greedy's next id after it, and truncates the
+    cache to the accepted positions. Without a draft the pass is a one-token
+    step. The ids are greedy's, checked against the stops one by one in
+    emission order; a draft never takes the cache past ``max_seq_len`` or the
+    output past ``max_new_tokens``.
+    """
+    prompt = np.asarray(prompt_ids)
     cache = KVCache(config.n_layers)
-    logits, _ = forward_incremental(params, config, np.asarray(prompt_ids), cache, top_k)
-    out: list[int] = []
-    next_id = int(np.argmax(logits[-1]))
-    for _ in range(max_new_tokens):
-        out.append(next_id)
-        if next_id == eos_id or cache.length >= config.max_seq_len:
-            break
-        logits, _ = forward_incremental(params, config, np.array([next_id]), cache, top_k)
-        next_id = int(np.argmax(logits[-1]))
-    return np.array(out, dtype=np.int64)
+    logits, _ = forward_incremental(params, config, prompt, cache, top_k)
+    if max_new_tokens < 1:
+        return np.zeros(0, dtype=np.int64)
+    p = n = len(prompt)
+    context = np.empty(p + max_new_tokens, dtype=np.int64)  # prompt, output, draft
+    context[:p] = prompt
+    picks = [int(np.argmax(logits[-1]))]
+    while True:
+        for token in picks:
+            context[n] = token
+            n += 1
+            if token == eos_id or n - p == max_new_tokens or n > config.max_seq_len:
+                return context[p:n].copy()
+        # the cache holds context[:n - 1]; the pass appends the last pick and the draft
+        draft = _lookup(context[:n], min(_DRAFT, config.max_seq_len - n, p + max_new_tokens - n - 1))
+        m = len(draft)
+        context[n:n + m] = draft
+        logits, _ = forward_incremental(params, config, context[n - 1:n + m].copy(), cache, top_k)
+        greedy = logits.argmax(axis=-1)
+        accepted = 0
+        while accepted < m and greedy[accepted] == context[n + accepted]:
+            accepted += 1
+        cache.truncate(n + accepted)
+        picks = greedy[:accepted + 1].tolist()

@@ -16,7 +16,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Graph, clip_global_norm, zero_grads
 from .corpus import Tokenizer, derive_seed
-from .model import ModelConfig, TransformerParams, forward, init_params, named_tensors
+from .model import (ModelConfig, TransformerParams, build_params, forward, init_params,
+                    named_tensors)
 from .moe import collect_route_stats
 from .tasks import ExpertMap, TaskRegistry, build_expert_map, format_prompt
 
@@ -353,24 +354,25 @@ def load_checkpoint(path) -> Checkpoint:
     config = _config_from(path, ModelConfig, header["model_config"])
     train_config = _config_from(path, TrainConfig, header["train_config"])
     dtype = header["dtype"]
+    if dtype not in ad.DTYPES:
+        raise CheckpointError(f"{path}: unknown dtype {dtype!r}")
     registry = TaskRegistry(header["tasks"])
     tokenizer = Tokenizer(header["tasks"], alphabet=header["alphabet"])
-    params = init_params(config, seed=0, dtype=dtype)
-    named = list(named_tensors(params))
-    opt = AdamState(named)
+
+    def read(key, shape):
+        if key not in tensors:
+            raise CheckpointError(f"{path}: missing tensor {key!r}")
+        arr = tensors[key]
+        if arr.shape != shape:
+            raise CheckpointError(f"{path}: tensor {key!r} has shape {arr.shape}, expected {shape}")
+        return arr
+
+    params = build_params(config, read)
+    opt = AdamState([])
     opt.t = int(header["adam_t"])
-    for name, tensor in named:
-        for store, key in ((None, name), (opt.m, f"opt.m.{name}"), (opt.v, f"opt.v.{name}")):
-            if key not in tensors:
-                raise CheckpointError(f"{path}: missing tensor {key!r}")
-            arr = tensors[key]
-            if arr.shape != tensor.data.shape:
-                raise CheckpointError(
-                    f"{path}: tensor {key!r} has shape {arr.shape}, expected {tensor.data.shape}")
-            if store is None:
-                tensor.data = arr
-            else:
-                store[name] = arr
+    for name, tensor in named_tensors(params):
+        opt.m[name] = read(f"opt.m.{name}", tensor.data.shape)
+        opt.v[name] = read(f"opt.v.{name}", tensor.data.shape)
     return Checkpoint(
         config=config, dtype=dtype, params=params, registry=registry,
         tokenizer=tokenizer, expert_map=ExpertMap.from_dict(header["expert_map"]),

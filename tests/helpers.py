@@ -139,3 +139,19 @@ def edit_distance_bruteforce(a, b) -> int:
         return 1 + min(go(i + 1, j + 1), go(i + 1, j), go(i, j + 1))
 
     return go(0, 0)
+
+
+def greedy_reference(params, config, prompt, max_new_tokens, eos_id, top_k=None) -> np.ndarray:
+    """Greedy decoding one cached token per step, the oracle for
+    ``model.generate``: after the prompt, each step appends the argmax id and
+    runs it alone through the cache, until EOS, ``max_new_tokens`` ids, or a
+    full cache (``max_seq_len`` positions)."""
+    cache = model.KVCache(config.n_layers)
+    logits, _ = model.forward_incremental(params, config, np.asarray(prompt), cache, top_k)
+    out: list[int] = []
+    while len(out) < max_new_tokens:
+        out.append(int(np.argmax(logits[-1])))
+        if out[-1] == eos_id or cache.length >= config.max_seq_len:
+            break
+        logits, _ = model.forward_incremental(params, config, np.array(out[-1:]), cache, top_k)
+    return np.array(out, dtype=np.int64)

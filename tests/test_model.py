@@ -1,8 +1,11 @@
+import inspect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from moefix import autodiff as ad
-from moefix import model
+from moefix import metrics, model
 from moefix.autodiff import Tensor
 from moefix.model import (
     KVCache,
@@ -19,7 +22,7 @@ from moefix.model import (
 )
 from moefix.moe import RoutingDecision
 
-from helpers import attention_reference, gradcheck, swiglu_reference
+from helpers import attention_reference, gradcheck, greedy_reference, swiglu_reference
 
 
 def tiny_config(**overrides):
@@ -378,10 +381,150 @@ class TestGeneration:
             if nxt == eos:
                 break
 
-    def test_generate_stops_at_eos(self):
+    def test_generate_matches_the_one_token_oracle_while_drafting(self, monkeypatch):
+        params, cfg = chain_model()
+        expected = greedy_reference(params, cfg, CHAIN_PROMPT, 40, -1)
+        passes = record_passes(monkeypatch)
+        out = generate(params, cfg, CHAIN_PROMPT, max_new_tokens=40, eos_id=-1)
+        assert np.array_equal(out, expected)
+        drafted = [(len(tokens) - 1, accepted_drafts(tokens, greedy))
+                   for _, tokens, greedy, _ in passes[1:]]
+        assert any(a > 0 for _, a in drafted)  # some draft was (partly) accepted
+        assert any(a < m for m, a in drafted)  # and some drafted id was rejected
+        assert len(drafted) < len(out) - 1  # fewer passes than one-token steps
+
+    def test_cached_steps_after_a_rejected_draft_match_full_forward(self, monkeypatch):
+        params, cfg = chain_model()
+        passes = record_passes(monkeypatch)
+        out = generate(params, cfg, CHAIN_PROMPT, max_new_tokens=40, eos_id=-1)
+        full, _ = forward(params, cfg, np.concatenate([CHAIN_PROMPT, out[:-1]]))
+        after_rejection = 0
+        rejected = False
+        for start, tokens, greedy, logits in passes[1:]:
+            # the rows up to the first rejected id saw the true context
+            rows = accepted_drafts(tokens, greedy) + 1
+            assert np.abs(logits[:rows] - full.data[start:start + rows]).max() <= 1e-12
+            after_rejection += rejected
+            rejected = rows < len(tokens)
+        assert after_rejection > 0
+
+    def test_eos_inside_an_accepted_draft_stops_there(self, monkeypatch):
+        params, cfg = chain_model()
+        passes = record_passes(monkeypatch)
+        free = generate(params, cfg, CHAIN_PROMPT, max_new_tokens=40, eos_id=-1)
+        j = new_id_inside_a_draft(passes, free)
+        eos = int(free[j])
+        passes.clear()
+        out = generate(params, cfg, CHAIN_PROMPT, max_new_tokens=40, eos_id=eos)
+        start, tokens, greedy, _ = passes[-1]
+        # the last pass accepted the EOS and at least one drafted id after it
+        assert accepted_drafts(tokens, greedy) > len(CHAIN_PROMPT) + j - start >= 1
+        assert np.array_equal(out, free[:j + 1])
+        assert np.array_equal(out, greedy_reference(params, cfg, CHAIN_PROMPT, 40, eos))
+
+    @pytest.mark.parametrize("cap", ["max_new_tokens", "max_seq_len"])
+    def test_length_cap_inside_a_draft(self, monkeypatch, cap):
+        params, cfg = chain_model()
+        passes = record_passes(monkeypatch)
+        free = generate(params, cfg, CHAIN_PROMPT, max_new_tokens=40, eos_id=-1)
+        j = new_id_inside_a_draft(passes, free)
+        budget = 40
+        if cap == "max_new_tokens":
+            budget = j + 1
+        else:  # the cache is full once it holds the ids before output j
+            cfg = replace(cfg, max_seq_len=len(CHAIN_PROMPT) + j)
+        passes.clear()
+        out = generate(params, cfg, CHAIN_PROMPT, max_new_tokens=budget, eos_id=-1)
+        # no pass ran an id past the cap
+        assert max(start + len(tokens) for start, tokens, _, _ in passes) == len(CHAIN_PROMPT) + j
+        assert np.array_equal(out, free[:j + 1])
+        assert np.array_equal(out, greedy_reference(params, cfg, CHAIN_PROMPT, budget, -1))
+
+    def test_cache_truncation(self):
         cfg = tiny_config()
-        params = init_params(cfg, seed=19)
-        out = generate(params, cfg, np.array([0, 1]), max_new_tokens=20, eos_id=3)
-        if 3 in out:
-            assert out[-1] == 3
-        assert len(out) <= 20
+        params = init_params(cfg, seed=27, dtype="f64")
+        tokens = np.random.default_rng(8).integers(0, cfg.vocab_size, size=9)
+        full, _ = forward(params, cfg, tokens)
+        cache = KVCache(cfg.n_layers)
+        forward_incremental(params, cfg, tokens[:5], cache)
+        forward_incremental(params, cfg, (tokens[5:8] + 1) % cfg.vocab_size, cache)
+        cache.truncate(5)
+        again, _ = forward_incremental(params, cfg, tokens[5:], cache)
+        assert np.abs(again - full.data[5:]).max() <= 1e-12
+        with pytest.raises(ValueError, match="truncate a cache of 9 positions to 10"):
+            cache.truncate(10)
+
+    def test_decode_signatures(self):
+        # callers that wrap these functions (the benchmark's tracer among
+        # them) pass the arguments by position
+        assert metrics.generate is model.generate
+        for fn, names in (
+            (model.generate,
+             ["params", "config", "prompt_ids", "max_new_tokens", "eos_id", "top_k"]),
+            (model.forward_incremental, ["params", "config", "new_tokens", "cache", "top_k"]),
+        ):
+            sig = inspect.signature(fn).parameters
+            assert list(sig) == names
+            assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in sig.values())
+            assert sig["top_k"].default is None
+
+
+# Greedy decoding of ``chain_model`` steps each id by +5 (mod 19), so the
+# chain 2 7 12 17 3 8 in the prompt is a draft the model accepts, while the
+# ids that follow 4, 11 and 0 in the prompt are drafts it rejects.
+CHAIN_PROMPT = np.array([4, 16, 2, 7, 12, 17, 3, 8, 11, 9, 2, 7, 0, 5, 16])
+
+
+def chain_model():
+    """f64 parameters whose greedy next id is its last id plus 5, mod 19:
+    ids embed as the first feature of distinct rotary pairs, so the first
+    layer's attention finds the last id's own position, and its value and
+    output projections map it to the next id's feature; the rest of the
+    model keeps its random weights."""
+    cfg = tiny_config(d_model=40, n_heads=1, max_seq_len=64)
+    params = init_params(cfg, seed=40, dtype="f64")
+    v, d = cfg.vocab_size, cfg.d_model
+    params.embedding.data[:] = np.eye(v, d)
+    layer = params.layers[0]
+    layer.wq.data[:] = layer.wk.data[:] = 3 * np.eye(d)
+    layer.wv.data[:] = np.eye(d)
+    layer.wo.data[:] = 0.0
+    layer.wo.data[np.arange(v), (np.arange(v) + 5) % v] = 1.0
+    return params, cfg
+
+
+def record_passes(monkeypatch) -> list:
+    """A list that gets (cache length before, ids, argmax ids, logits) of
+    every ``forward_incremental`` call from now on."""
+    passes = []
+    real = model.forward_incremental
+
+    def recording(params, config, new_tokens, cache, top_k=None):
+        start, tokens = cache.length, np.array(new_tokens)
+        logits, decisions = real(params, config, new_tokens, cache, top_k)
+        passes.append((start, tokens, logits.argmax(axis=-1), logits))
+        return logits, decisions
+
+    monkeypatch.setattr(model, "forward_incremental", recording)
+    return passes
+
+
+def accepted_drafts(tokens, greedy) -> int:
+    """How many drafted ids (after the first of ``tokens``) a pass accepted."""
+    a = 0
+    while a < len(tokens) - 1 and greedy[a] == tokens[a + 1]:
+        a += 1
+    return a
+
+
+def new_id_inside_a_draft(passes, out) -> int:
+    """An output index j whose id a pass accepted from its draft, followed by
+    more accepted drafted ids, and which first occurs in ``out`` at j: the
+    last such index of the first pass that has one."""
+    p = len(CHAIN_PROMPT)
+    for start, tokens, greedy, _ in passes[1:]:
+        inside = [start + 1 + i - p for i in range(accepted_drafts(tokens, greedy) - 1)]
+        new = [j for j in inside if list(out).index(out[j]) == j]
+        if new:
+            return new[-1]
+    raise AssertionError("no drafted id to stop at")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 
 import numpy as np
@@ -460,6 +461,57 @@ class TestCheckpoint:
         resaved = tmp_path / "resaved.ck"
         save_checkpoint(back, resaved)
         assert resaved.read_bytes() == raw
+
+    def test_load_draws_no_random_weights(self, tmp_path, monkeypatch):
+        ckpt, registry, tok = make_setup(seed=12)
+        path = tmp_path / "m.ck"
+        save_checkpoint(ckpt, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew fresh weights")
+
+        monkeypatch.setattr(tr, "init_params", refuse)
+        back = load_checkpoint(path)
+        assert all(t.requires_grad for _, t in back.named_params())
+        save_checkpoint(back, tmp_path / "again.ck")
+        assert (tmp_path / "again.ck").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("store,name", [(None, "layers.1.moe.experts.3.down"),
+                                            ("m", "final_norm"), ("v", "embedding")])
+    def test_missing_tensor_rejected(self, tmp_path, store, name):
+        ckpt, registry, tok = make_setup(seed=12)
+        if store is None:
+            ckpt.named_params = lambda: [(n, t) for n, t in tr.named_tensors(ckpt.params)
+                                         if n != name]
+            key = name
+        else:
+            del getattr(ckpt.opt, store)[name]
+            key = f"opt.{store}.{name}"
+        path = tmp_path / "m.ck"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match=f"missing tensor '{key}'") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("key,expected", [("layers.0.wq", "(16, 16)"),
+                                              ("opt.m.layers.1.moe.gate", "(16, 4)")])
+    def test_misshapen_tensor_rejected(self, tmp_path, key, expected):
+        ckpt, registry, tok = make_setup(seed=12)
+        if key.startswith("opt.m."):
+            ckpt.opt.m[key[len("opt.m."):]] = np.zeros((16, 3))
+        else:
+            ckpt.params.layers[0].wq.data = np.zeros((16, 3))
+        path = tmp_path / "m.ck"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"'{key}' has shape (16, 3), expected {expected}")):
+            load_checkpoint(path)
+
+    def test_unknown_dtype_rejected(self, tmp_path):
+        path = self._with_header(tmp_path, lambda h: h.update(dtype="f16"))
+        with pytest.raises(CheckpointError, match="unknown dtype 'f16'") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ck"
