@@ -103,7 +103,8 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float, dtype) -> np.ndar
 def build_params(config: ModelConfig, make) -> TransformerParams:
     """The parameters of ``config``, each the array ``make(name, shape)``
     under its ``named_tensors`` name. ``make`` is called layer by layer, each
-    layer's experts first, then the embedding and the final norm."""
+    layer's experts first, then the embedding and the final norm: the order
+    in which ``init_params`` draws its random weights."""
     d, dff = config.d_model, config.d_ff
 
     def tensor(name, *shape):

@@ -330,8 +330,9 @@ def _config_from(path, cls, values: dict):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``. Raises CheckpointError,
     naming the file, for a bad magic or version, a malformed or incomplete
-    header, a missing, misshapen or truncated tensor, or bytes after the last
-    tensor."""
+    header (an unknown dtype included), a missing, misshapen or truncated
+    tensor, or bytes after the last tensor. The parameters and optimizer
+    moments are the arrays read, with no fresh initialisation."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
