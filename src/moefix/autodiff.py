@@ -95,16 +95,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, id={self.node_id})"
 
-    # arithmetic sugar; the heavy ops are module-level functions
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other, self))
-
-
-def _as_tensor(x, like: Tensor) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=like.data.dtype))
-
 
 def recording(parents: tuple) -> bool:
     """Whether an op on ``parents`` records itself: a graph is active and
@@ -207,13 +197,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data + b.data, (a, b), bwd)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
-
-    return _node(a.data * b.data, (a, b), bwd)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with numpy batch broadcasting over leading axes."""
     if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
@@ -228,56 +211,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, (a, b), bwd)
 
 
-def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    def bwd(g):
-        return (np.swapaxes(g, a, b),)
-
-    return _node(np.swapaxes(x.data, a, b), (x,), bwd)
-
-
-def transpose(x: Tensor) -> Tensor:
-    """2-D transpose."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose expects a matrix, got shape {x.data.shape}")
-    return swapaxes(x, 0, 1)
-
-
-def sum_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b.T`` for matrices [n, k] and [m, k]; the tied LM head's product."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
+        raise ShapeError(f"matmul_nt shapes incompatible: {a.data.shape} x {b.data.shape}.T")
 
     def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.data.shape),)
+        return g @ b.data, (a.data.T @ g).T
 
-    return _node(out, (x,), bwd)
-
-
-def mean_(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    n = x.data.size if axis is None else x.data.shape[axis]
-    out = x.data.mean(axis=axis, keepdims=keepdims)
-
-    def bwd(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g / n, x.data.shape),)
-
-    return _node(out, (x,), bwd)
-
-
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax."""
-    z = x.data
-    zmax = z.max(axis=axis, keepdims=True)
-    e = np.exp(z - zmax)
-    y = e / e.sum(axis=axis, keepdims=True)
-
-    def bwd(g):
-        # dx = y * (g - sum(g * y))
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
-
-    return _node(y, (x,), bwd)
+    return _node(a.data @ b.data.T, (a, b), bwd)
 
 
 def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
@@ -314,36 +256,33 @@ def take(x: Tensor, idx: np.ndarray) -> Tensor:
     return _node(out, (x,), bwd)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray, loss_mask: np.ndarray | None = None) -> Tensor:
-    """Mean negative log-likelihood of ``targets`` over unmasked positions.
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean negative log-likelihood of ``targets`` over all rows.
 
-    ``logits`` is [N, V]; ``targets`` integer ids [N]; ``loss_mask`` boolean [N]
-    (None = all positions count). Fused log-softmax keeps the backward cheap.
+    ``logits`` is [N, V] and ``targets`` integer ids [N]; callers pass the
+    loss rows only. Fused log-softmax keeps the backward cheap.
     """
     z = logits.data
     if z.ndim != 2:
         raise ShapeError(f"cross_entropy expects [N, V] logits, got shape {z.shape}")
     n, v = z.shape
+    if n == 0:
+        raise ValueError("cross_entropy: no rows to average over")
     targets = np.asarray(targets)
-    mask = np.ones(n, dtype=bool) if loss_mask is None else np.asarray(loss_mask, dtype=bool)
-    count = int(mask.sum())
-    if count == 0:
-        raise ValueError("cross_entropy: all positions are masked out")
-    active = targets[mask]
-    if active.size and (active.min() < 0 or active.max() >= v):
-        bad = active[(active < 0) | (active >= v)][0]
+    if targets.min() < 0 or targets.max() >= v:
+        bad = targets[(targets < 0) | (targets >= v)][0]
         raise ValueError(f"cross_entropy: target id {bad} outside vocabulary of size {v}")
 
     zmax = z.max(axis=-1, keepdims=True)
     lse = zmax[:, 0] + np.log(np.exp(z - zmax).sum(axis=-1))
     nll = lse - z[np.arange(n), targets]
-    out = np.asarray((nll * mask).sum() / count, dtype=z.dtype)
+    out = np.asarray(nll.sum() / n, dtype=z.dtype)
 
     def bwd(g):
         p = np.exp(z - zmax)
         p /= p.sum(axis=-1, keepdims=True)
         p[np.arange(n), targets] -= 1.0
-        p *= (mask * (g / count))[:, None]
+        p *= g / n
         return (p,)
 
     return _node(out, (logits,), bwd)

@@ -8,7 +8,7 @@ cannot read it by construction).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -18,12 +18,19 @@ from .moe import (
     ExpertParams,
     MoeLayerParams,
     RoutingDecision,
-    load_balance_aux,
     moe_forward_infer,
     moe_forward_task,
 )
 
 INIT_STD = 0.02
+
+
+def require_finite(config) -> None:
+    """Reject NaN or infinite float fields of ``config``: they pass any range check."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass
@@ -50,6 +57,9 @@ class ModelConfig:
             raise ValueError("head dimension must be even for rotary encoding")
         if not 1 <= self.top_k <= self.n_experts:
             raise ValueError(f"top_k {self.top_k} out of range for {self.n_experts} experts")
+        require_finite(self)
+        if self.rope_base <= 0 or self.rms_eps <= 0:
+            raise ValueError(f"rope_base {self.rope_base} and rms_eps {self.rms_eps} must be positive")
 
     @property
     def head_dim(self) -> int:
@@ -409,7 +419,6 @@ def forward(
     mode: str = "infer",
     task_experts=None,
     top_k: int | None = None,
-    aux_out: list | None = None,
     cache: KVCache | None = None,
     lengths: np.ndarray | None = None,
     logit_rows: np.ndarray | None = None,
@@ -466,13 +475,11 @@ def forward(
             y, decision = moe_forward_task(h, layer.moe, forced)
         else:
             y, decision = moe_forward_infer(h, layer.moe, top_k or config.top_k)
-        if aux_out is not None:
-            aux_out.append(load_balance_aux(h, layer.moe.gate, decision))
         decisions.append(decision)
         x = ad.add(x, y)
 
     x = ad.rms_norm(x, params.final_norm, config.rms_eps)
-    logits = ad.matmul(x, ad.transpose(params.embedding))
+    logits = ad.matmul_nt(x, params.embedding)
     if cache is not None:
         cache.length += t
     return logits, decisions

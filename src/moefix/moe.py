@@ -173,18 +173,6 @@ def moe_forward_task(x: Tensor, params: MoeLayerParams,
     return _route(x, params, 2, forced)
 
 
-def load_balance_aux(x: Tensor, gate: Tensor, decision: RoutingDecision) -> Tensor:
-    """Optional load-balancing penalty: n_e * sum_e f_e * mean_prob_e, where
-    f_e is the share of selections routed to expert e. Equals 1 under
-    perfectly uniform routing; off by default (coefficient 0). ``x`` holds
-    the routed token rows, one per row of ``decision``."""
-    n_e = gate.shape[-1]
-    probs = ad.softmax(ad.matmul(x, gate))
-    f = np.bincount(decision.indices.ravel(), minlength=n_e).astype(probs.data.dtype)
-    f *= n_e / max(decision.indices.size, 1)
-    return ad.sum_(ad.mul(ad.mean_(probs, axis=0), Tensor(f)))
-
-
 @dataclass
 class UtilizationReport:
     """Aggregated routing statistics keyed by task name."""

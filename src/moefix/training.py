@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Graph, clip_global_norm, zero_grads
 from .corpus import Tokenizer, derive_seed
 from .model import (ModelConfig, TransformerParams, build_params, forward, init_params,
-                    named_tensors)
+                    named_tensors, require_finite)
 from .moe import collect_route_stats
 from .tasks import ExpertMap, TaskRegistry, build_expert_map, format_prompt
 
@@ -42,20 +42,21 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    aux_loss_coeff: float = 0.0
     task_routing: bool = True  # False = ablation: plain top-2 routing in training
 
     def __post_init__(self) -> None:
+        require_finite(self)
         positive = {"learning_rate": self.learning_rate, "epochs": self.epochs,
                     "grad_clip": self.grad_clip, "batch_size_tokens": self.batch_size_tokens,
                     "adam_eps": self.adam_eps}
         for name, value in positive.items():
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if not 0.0 <= self.warmup_ratio < 1.0:
-            raise ValueError(f"warmup_ratio must be in [0, 1), got {self.warmup_ratio}")
-        if self.weight_decay < 0 or self.aux_loss_coeff < 0:
-            raise ValueError("weight_decay and aux_loss_coeff must be non-negative")
+        for name in ("warmup_ratio", "adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
 
 
 def lr_at(step: int, total_steps: int, config: TrainConfig) -> float:
@@ -171,35 +172,27 @@ def make_batch_arrays(batch: list[EncodedSample], pad_id: int):
 
 
 def nll_loss(params: TransformerParams, config: ModelConfig, batch_arrays,
-             task_routing: bool = True, aux_coeff: float = 0.0):
+             task_routing: bool = True):
     """Mean NLL over target tokens; train-mode forced routing unless ablated.
 
     The forward pass runs on the real tokens only, and its last layer's MoE,
     the final norm and the LM head on the loss rows only: each
-    RoutingDecision has one row per real token, the last one per loss row,
-    and the optional aux loss covers the same rows. Returns (loss Tensor,
-    per-layer RoutingDecisions).
+    RoutingDecision has one row per real token, the last one per loss row.
+    Returns (loss Tensor, per-layer RoutingDecisions).
     """
     ids, targets, mask, task_experts, lengths = batch_arrays
     if ids.shape[0] == 0:
         raise ValueError("empty batch")
     real = np.arange(ids.shape[1])[None, :] < lengths[:, None]
     loss_rows = np.flatnonzero(mask[real])  # the mask marks real positions only
-    aux_terms: list | None = [] if aux_coeff > 0 else None
     if task_routing:
         logits, decisions = forward(params, config, ids, mode="train",
-                                    task_experts=task_experts, aux_out=aux_terms,
-                                    lengths=lengths, logit_rows=loss_rows)
+                                    task_experts=task_experts, lengths=lengths,
+                                    logit_rows=loss_rows)
     else:
         logits, decisions = forward(params, config, ids, mode="infer", top_k=2,
-                                    aux_out=aux_terms, lengths=lengths, logit_rows=loss_rows)
-    loss = ad.cross_entropy(logits, targets[mask])
-    if aux_terms:
-        aux = aux_terms[0]
-        for term in aux_terms[1:]:
-            aux = ad.add(aux, term)
-        loss = ad.add(loss, aux * (aux_coeff / len(aux_terms)))
-    return loss, decisions
+                                    lengths=lengths, logit_rows=loss_rows)
+    return ad.cross_entropy(logits, targets[mask]), decisions
 
 
 # --- checkpoints -------------------------------------------------------------
@@ -353,6 +346,10 @@ def load_checkpoint(path) -> Checkpoint:
                                   f"{header['n_tensors']} tensors")
 
     config = _config_from(path, ModelConfig, header["model_config"])
+    # headers written while training had a load-balance aux loss hold its
+    # coefficient; its default, 0, changed nothing and is dropped
+    if isinstance(header["train_config"], dict) and header["train_config"].pop("aux_loss_coeff", 0) != 0:
+        raise CheckpointError(f"{path}: nonzero aux_loss_coeff, a removed load-balance loss")
     train_config = _config_from(path, TrainConfig, header["train_config"])
     dtype = header["dtype"]
     if dtype not in ad.DTYPES:
@@ -431,8 +428,7 @@ def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
         zero_grads(all_params)
         with Graph():
             loss, decisions = nll_loss(ckpt.params, ckpt.config, arrays,
-                                       task_routing=cfg.task_routing,
-                                       aux_coeff=cfg.aux_loss_coeff)
+                                       task_routing=cfg.task_routing)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise _numerical_error(f"non-finite loss {loss_value}", step, batch)

@@ -48,6 +48,27 @@ def gradcheck(build, params: list[ad.Tensor], tol: float = 1e-4, h: float = 1e-5
         assert err <= tol, f"gradient mismatch: rel err {err:.3e} > {tol}"
 
 
+def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Elementwise product node, for the test losses."""
+    def bwd(g):
+        return (ad._unbroadcast(g * b.data, a.data.shape),
+                ad._unbroadcast(g * a.data, b.data.shape))
+
+    return ad._node(a.data * b.data, (a, b), bwd)
+
+
+def sum_(x: ad.Tensor, axis=None, keepdims: bool = False) -> ad.Tensor:
+    """Sum node, for the test losses."""
+    out = x.data.sum(axis=axis, keepdims=keepdims)
+
+    def bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.data.shape),)
+
+    return ad._node(out, (x,), bwd)
+
+
 def swiglu_reference(x: np.ndarray, expert) -> np.ndarray:
     """One SwiGLU expert in plain numpy, in the op order the MoE dispatch
     uses, so the two agree bitwise: down(silu(x @ gate_proj) * (x @ up))."""
@@ -93,16 +114,18 @@ def attention_reference(x: np.ndarray, layer, config) -> np.ndarray:
 def nll_reference(params, config, batch_arrays, task_routing: bool = True) -> ad.Tensor:
     """Per-sample unpadded oracle for ``training.nll_loss``: each sample runs
     alone through the whole forward pass, every position to the LM head, and
-    the loss is its masked mean NLL weighted by its share of the loss tokens."""
+    the loss is the mean NLL of its loss rows weighted by its share of the
+    loss tokens."""
     ids, targets, mask, task_experts, lengths = batch_arrays
     total = None
     for i, n in enumerate(lengths):
         route = (dict(mode="train", task_experts=int(task_experts[i])) if task_routing
                  else dict(mode="infer", top_k=2))
         logits, _ = model.forward(params, config, ids[i, :n], **route)
-        nll = ad.cross_entropy(logits, targets[i, :n], mask[i, :n])
+        rows = np.flatnonzero(mask[i, :n])
+        nll = ad.cross_entropy(ad.take(logits, rows), targets[i, rows])
         share = ad.Tensor(np.asarray(mask[i].sum() / mask.sum(), dtype=logits.dtype))
-        total = ad.mul(nll, share) if total is None else ad.add(total, ad.mul(nll, share))
+        total = mul(nll, share) if total is None else ad.add(total, mul(nll, share))
     return total
 
 

@@ -106,6 +106,13 @@ class TestConfig:
         assert code == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_removed_aux_loss_coeff_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "aux.cfg"
+        path.write_text("aux_loss_coeff = 0.0\n")
+        code = run_cli("--config", str(path), "gen-data", "--out", str(tmp_path / "d.jsonl"))
+        assert code == 2
+        assert "unknown config key 'aux_loss_coeff'" in capsys.readouterr().err
+
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("NEKO_THREADS", "1")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
@@ -213,7 +220,6 @@ DEFAULT_RESOLVED = (
     "adam_beta2 = 0.999\n"
     "adam_eps = 1e-08\n"
     "seed = 0\n"
-    "aux_loss_coeff = 0.0\n"
     "task_routing = True\n"
     "checkpoint_interval = 0\n"
     "precision = f32\n"
@@ -229,6 +235,20 @@ class TestTrain:
         out = tmp_path / "out"
         assert run_cli("train", "--data", str(data), "--out-dir", str(out)) == 0
         assert (out / "config.resolved").read_text() == DEFAULT_RESOLVED
+
+    def test_bad_adam_beta_exits_2_before_any_checkpoint(self, tiny_config, tmp_path, capsys):
+        # a beta of 1 zeroes Adam's bias correction: the first update wrote
+        # non-finite weights to the interval checkpoint, then the next loss
+        # blamed its batch
+        data = tmp_path / "data.jsonl"
+        assert run_cli("--config", tiny_config, "gen-data", "--out", str(data)) == 0
+        path = tmp_path / "beta.cfg"
+        path.write_text(TINY + "adam_beta1 = 1.0\ncheckpoint_interval = 1\n")
+        out = tmp_path / "out"
+        code = run_cli("--config", str(path), "train", "--data", str(data), "--out-dir", str(out))
+        assert code == 2
+        assert "adam_beta1 must be in [0, 1)" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ck"))
 
     def test_run_artifacts(self, trained_run):
         tiny_config, data, out = trained_run

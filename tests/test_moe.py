@@ -17,6 +17,8 @@ from helpers import (
     gradcheck,
     masked_softmax_reference,
     max_rel_err,
+    mul,
+    sum_,
     swiglu_reference,
 )
 
@@ -241,7 +243,7 @@ class TestRoutingInvariants:
 
         with Graph():
             y, _ = moe_forward_task(x, layer, task_expert=1)
-            ad.backward(ad.sum_(ad.mul(y, Tensor(proj))))
+            ad.backward(sum_(mul(y, Tensor(proj))))
         numeric = finite_difference_grad(lambda: loss_value(), layer.gate.data)
         assert layer.gate.grad is not None
         assert max_rel_err(layer.gate.grad, numeric) <= 1e-4
@@ -281,7 +283,7 @@ class TestDispatchGradients:
         assert bool(idle) == (case == "one_row")  # an expert with no rows
         params = [x, layer.gate] + [t for ex in layer.experts
                                     for t in (ex.up, ex.gate_proj, ex.down)]
-        gradcheck(lambda: ad.sum_(ad.mul(self._route(route, x, layer, rows)[0], proj)), params)
+        gradcheck(lambda: sum_(mul(self._route(route, x, layer, rows)[0], proj)), params)
         for e in idle:
             assert layer.experts[e].up.grad is None
 
