@@ -110,6 +110,8 @@ def resolve_config(args) -> dict:
         raise ConfigError(f"pool_size must be >= 0 (0 = the whole pool), got {cfg['pool_size']}")
     if cfg["samples_per_task"] < 1:
         raise ConfigError(f"samples_per_task must be >= 1, got {cfg['samples_per_task']}")
+    if cfg["checkpoint_interval"] < 0:
+        raise ConfigError(f"checkpoint_interval must be >= 0 (0 = none), got {cfg['checkpoint_interval']}")
     return cfg
 
 
@@ -219,7 +221,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     from .corpus import read_dataset
-    from .metrics import decode_budget, evaluate, greedy_corrector
+    from .metrics import correct_hypotheses, decode_budget, evaluate
     from .tasks import format_prompt
     from .training import load_checkpoint
 
@@ -231,8 +233,8 @@ def cmd_eval(args) -> int:
         ckpt.config, format_prompt(ckpt.tokenizer, s.task, s.hypotheses)[0]) > 0]
     if len(fitting) < len(samples):
         print(f"skipped {len(samples) - len(fitting)} overlong samples")
-    corrector = greedy_corrector(ckpt.params, ckpt.config, ckpt.tokenizer)
-    report = evaluate(fitting, corrector, compute_bleu=args.bleu)
+    report = evaluate(fitting, lambda s: correct_hypotheses(
+        ckpt.params, ckpt.config, ckpt.tokenizer, s.task, s.hypotheses), compute_bleu=args.bleu)
     print(report.to_table())
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

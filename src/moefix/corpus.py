@@ -10,7 +10,7 @@ Every sample is reproducible in isolation from its derived seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -136,30 +136,21 @@ def _phonetic_table() -> dict[str, tuple[str, ...]]:
             table[ch] = tuple(o for o in cls if o != ch)
     return table
 
+_PHONETIC = _phonetic_table()
+
 
 @dataclass
 class NoiseChannel:
-    """A synthetic recognizer-error source; kind selects the default tables."""
+    """A synthetic recognizer-error source of one kind (asr, ocr or typo)."""
 
     kind: str
     intensity: float
-    char_table: dict = field(default=None)
-    digraph_table: dict = field(default=None)
-    homophones: dict = field(default=None)
 
     def __post_init__(self) -> None:
         if self.kind not in ("asr", "ocr", "typo"):
             raise ValueError(f"unknown channel kind {self.kind!r} (available: asr, ocr, typo)")
         if not 0.0 <= self.intensity <= 1.0:
             raise ValueError(f"intensity must be in [0, 1], got {self.intensity}")
-        if self.char_table is None:
-            self.char_table = {
-                "asr": _phonetic_table(), "ocr": dict(_OCR_CHARS), "typo": dict(_KEYBOARD),
-            }[self.kind]
-        if self.digraph_table is None:
-            self.digraph_table = dict(_OCR_DIGRAPHS) if self.kind == "ocr" else {}
-        if self.homophones is None:
-            self.homophones = dict(_HOMOPHONES) if self.kind == "asr" else {}
 
 
 def _pick(rng: np.random.Generator, options) -> str:
@@ -172,12 +163,12 @@ def _corrupt_asr(channel: NoiseChannel, text: str, rng) -> tuple[str, int]:
     for token in text.split(" "):
         hits = [i for i in range(len(token)) if rng.random() < channel.intensity]
         events += len(hits)
-        if hits and token in channel.homophones:
-            out.append(_pick(rng, channel.homophones[token]))
+        if hits and token in _HOMOPHONES:
+            out.append(_pick(rng, _HOMOPHONES[token]))
             continue
         chars = list(token)
         for i in hits:
-            options = channel.char_table.get(chars[i])
+            options = _PHONETIC.get(chars[i])
             if options:
                 chars[i] = _pick(rng, options)
         out.append("".join(chars))
@@ -200,14 +191,14 @@ def _corrupt_ocr(channel: NoiseChannel, text: str, rng) -> tuple[str, int]:
             continue
         events += 1
         pair = text[i:i + 2]
-        if len(pair) == 2 and pair in channel.digraph_table:
+        if len(pair) == 2 and pair in _OCR_DIGRAPHS:
             # the consumed second character still spends its own event draw
             if rng.random() < channel.intensity:
                 events += 1
-            out.append(channel.digraph_table[pair])
+            out.append(_OCR_DIGRAPHS[pair])
             i += 2
             continue
-        options = channel.char_table.get(text[i])
+        options = _OCR_CHARS.get(text[i])
         out.append(_pick(rng, options) if options else text[i])
         i += 1
     return "".join(out), events
@@ -225,7 +216,7 @@ def _corrupt_typo(channel: NoiseChannel, text: str, rng) -> tuple[str, int]:
             continue
         events += 1
         op = int(rng.integers(0, 4))
-        neighbors = channel.char_table.get(c)
+        neighbors = _KEYBOARD.get(c)
         if op == 0:  # substitute
             out.append(_pick(rng, neighbors) if neighbors else c)
             i += 1

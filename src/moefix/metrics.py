@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import string
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,10 +20,18 @@ def normalize_words(text: str) -> list[str]:
 
 @dataclass
 class WerBreakdown:
-    substitutions: int
-    deletions: int
-    insertions: int
-    reference_words: int
+    """Edit counts of one hypothesis, or a sum of them: corpus WER is the
+    WER of the summed counts, never a mean of per-sentence rates."""
+    substitutions: int = 0
+    deletions: int = 0
+    insertions: int = 0
+    reference_words: int = 0
+
+    def __add__(self, other: WerBreakdown) -> WerBreakdown:
+        return WerBreakdown(self.substitutions + other.substitutions,
+                            self.deletions + other.deletions,
+                            self.insertions + other.insertions,
+                            self.reference_words + other.reference_words)
 
     @property
     def errors(self) -> int:
@@ -110,26 +118,6 @@ def bleu(references: list[str], hypotheses: list[str], max_n: int = 4) -> float:
 
 
 @dataclass
-class _WerTotals:
-    substitutions: int = 0
-    deletions: int = 0
-    insertions: int = 0
-    reference_words: int = 0
-
-    def add(self, b) -> None:
-        """Fold in another breakdown or totals object (same count fields)."""
-        self.substitutions += b.substitutions
-        self.deletions += b.deletions
-        self.insertions += b.insertions
-        self.reference_words += b.reference_words
-
-    @property
-    def wer(self) -> float:
-        errors = self.substitutions + self.deletions + self.insertions
-        return errors / self.reference_words if self.reference_words else 0.0
-
-
-@dataclass
 class TaskScore:
     n_samples: int
     baseline_wer: float
@@ -149,10 +137,13 @@ class EvalReport:
     per_task: dict[str, TaskScore]
     overall: TaskScore
 
+    def rows(self) -> list[tuple[str, TaskScore]]:
+        """Per-task scores in task-name order, then ``overall``."""
+        return [*sorted(self.per_task.items()), ("overall", self.overall)]
+
     def to_csv(self) -> str:
         lines = ["task,n_samples,baseline_wer,corrected_wer,relative_reduction_pct,baseline_bleu,corrected_bleu"]
-        rows = [*sorted(self.per_task.items()), ("overall", self.overall)]
-        for name, s in rows:
+        for name, s in self.rows():
             rel = "" if s.relative_reduction is None else f"{100 * s.relative_reduction:.2f}"
             b_bleu = "" if s.baseline_bleu is None else f"{s.baseline_bleu:.2f}"
             c_bleu = "" if s.corrected_bleu is None else f"{s.corrected_bleu:.2f}"
@@ -160,11 +151,17 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def to_table(self) -> str:
+        with_bleu = self.overall.baseline_bleu is not None
         header = f"{'task':<10}{'n':>6}{'base WER':>10}{'corr WER':>10}{'rel red %':>11}"
+        if with_bleu:
+            header += f"{'base BLEU':>11}{'corr BLEU':>11}"
         lines = [header, "-" * len(header)]
-        for name, s in [*sorted(self.per_task.items()), ("overall", self.overall)]:
+        for name, s in self.rows():
             rel = "-" if s.relative_reduction is None else f"{100 * s.relative_reduction:.1f}"
-            lines.append(f"{name:<10}{s.n_samples:>6}{s.baseline_wer:>10.4f}{s.corrected_wer:>10.4f}{rel:>11}")
+            line = f"{name:<10}{s.n_samples:>6}{s.baseline_wer:>10.4f}{s.corrected_wer:>10.4f}{rel:>11}"
+            if with_bleu:
+                line += f"{s.baseline_bleu:>11.2f}{s.corrected_bleu:>11.2f}"
+            lines.append(line)
         return "\n".join(lines)
 
 
@@ -185,56 +182,32 @@ def correct_hypotheses(params, config, tokenizer, task, hypotheses) -> str:
     return parse_output(tokenizer, out)
 
 
-def greedy_corrector(params, config, tokenizer):
-    """sample -> corrected text via greedy decoding of the trained model."""
-    def correct(sample) -> str:
-        return correct_hypotheses(params, config, tokenizer, sample.task, sample.hypotheses)
-
-    return correct
-
-
 def evaluate(samples, corrector, compute_bleu: bool = False) -> EvalReport:
     """Corpus-level WER of corrector output vs the first-hypothesis baseline.
 
-    Aggregates by summing error and reference-word counts (merge-associative),
-    never by averaging per-sentence rates.
+    Each sample is corrected and scored once, into one record per sample:
+    (target, hyp0, corrected, base breakdown, corrected breakdown). A task's
+    score, and the overall one, sums the breakdowns of its records.
     """
-    samples = list(samples)
-    if not samples:
-        raise ValueError("no samples to evaluate")
-    base_totals: dict[str, _WerTotals] = {}
-    corr_totals: dict[str, _WerTotals] = {}
-    counts: dict[str, int] = {}
-    texts: dict[str, tuple[list, list, list]] = {}
+    records: dict[str, list[tuple]] = {}
     for sample in samples:
-        name = sample.task.name
+        target, hyp0 = sample.target, sample.hypotheses[0]
         corrected = corrector(sample)
-        base_totals.setdefault(name, _WerTotals()).add(wer(sample.target, sample.hypotheses[0]))
-        corr_totals.setdefault(name, _WerTotals()).add(wer(sample.target, corrected))
-        counts[name] = counts.get(name, 0) + 1
-        refs, bases, corrs = texts.setdefault(name, ([], [], []))
-        refs.append(sample.target)
-        bases.append(sample.hypotheses[0])
-        corrs.append(corrected)
+        records.setdefault(sample.task.name, []).append(
+            (target, hyp0, corrected, wer(target, hyp0), wer(target, corrected)))
+    if not records:
+        raise ValueError("no samples to evaluate")
 
-    def score(names) -> TaskScore:
-        base = _WerTotals()
-        corr = _WerTotals()
-        for n in names:
-            base.add(base_totals[n])
-            corr.add(corr_totals[n])
-        s = TaskScore(
-            n_samples=sum(counts[n] for n in names),
-            baseline_wer=base.wer,
-            corrected_wer=corr.wer,
-        )
+    def score(rows) -> TaskScore:
+        refs, bases, corrs, base_wers, corr_wers = zip(*rows)
+        s = TaskScore(n_samples=len(rows),
+                      baseline_wer=sum(base_wers, WerBreakdown()).wer,
+                      corrected_wer=sum(corr_wers, WerBreakdown()).wer)
         if compute_bleu:
-            refs = [r for n in names for r in texts[n][0]]
-            bases = [b for n in names for b in texts[n][1]]
-            corrs = [c for n in names for c in texts[n][2]]
             s.baseline_bleu = bleu(refs, bases)
             s.corrected_bleu = bleu(refs, corrs)
         return s
 
-    per_task = {name: score([name]) for name in counts}
-    return EvalReport(per_task=per_task, overall=score(sorted(counts)))
+    per_task = {name: score(rows) for name, rows in records.items()}
+    overall = score([r for name in sorted(records) for r in records[name]])
+    return EvalReport(per_task=per_task, overall=overall)

@@ -40,6 +40,13 @@ def tiny_config(tmp_path):
     return str(path)
 
 
+def child_env(env: dict) -> dict:
+    """``env`` with the directory that holds the moefix package first on
+    PYTHONPATH, so a child interpreter imports the code under test."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))}
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -145,7 +152,7 @@ def _deterministic_thread_vars(config_path, tmp_path, preset):
     env = {k: v for k, v in os.environ.items()
            if k != "NEKO_THREADS" and k not in cli._THREAD_VARS}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env={**env, **preset})
+                          env=child_env({**env, **preset}))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
 
@@ -248,6 +255,18 @@ class TestTrain:
         code = run_cli("--config", str(path), "train", "--data", str(data), "--out-dir", str(out))
         assert code == 2
         assert "adam_beta1 must be in [0, 1)" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ck"))
+
+    def test_negative_checkpoint_interval_exits_2(self, tiny_config, tmp_path, capsys):
+        # step % -1 == 0 made every step write an interval checkpoint
+        data = tmp_path / "data.jsonl"
+        assert run_cli("--config", tiny_config, "gen-data", "--out", str(data)) == 0
+        path = tmp_path / "interval.cfg"
+        path.write_text(TINY + "checkpoint_interval = -1\n")
+        out = tmp_path / "out"
+        code = run_cli("--config", str(path), "train", "--data", str(data), "--out-dir", str(out))
+        assert code == 2
+        assert "checkpoint_interval" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.ck"))
 
     def test_run_artifacts(self, trained_run):
@@ -411,6 +430,28 @@ class TestEvalCorrectStats:
         assert "overall" in capsys.readouterr().out
         assert csv.read_text().startswith("task,n_samples,baseline_wer")
 
+    def test_eval_scores_each_sample_once(self, trained_run, tmp_path, monkeypatch):
+        # eval reaches wer, bleu and correct_hypotheses through their module
+        # attributes, at these counts: the perfbench eval trace wraps each one
+        from moefix import metrics
+        calls = {"wer": 0, "bleu": 0, "correct_hypotheses": 0}
+        for name in calls:
+            real = getattr(metrics, name)
+
+            def counting(*a, _real=real, _name=name, **kw):
+                calls[_name] += 1
+                return _real(*a, **kw)
+            monkeypatch.setattr(metrics, name, counting)
+        tiny_config, data, out = trained_run
+        csv = tmp_path / "report.csv"
+        code = run_cli("eval", "--checkpoint", str(out / "model.ck"), "--data", str(data),
+                       "--csv", str(csv), "--bleu")
+        assert code == 0
+        rows = csv.read_text().splitlines()[1:]
+        n = int(rows[-1].split(",")[1])
+        assert n > 0
+        assert calls == {"wer": 2 * n, "bleu": 2 * len(rows), "correct_hypotheses": n}
+
     def test_eval_skips_and_counts_overlong_prompts(self, trained_run, tmp_path, capsys):
         tiny_config, data, out = trained_run
         lines = data.read_text().splitlines()
@@ -504,6 +545,6 @@ class TestEvalCorrectStats:
 
 def test_module_entrypoint_help():
     proc = subprocess.run([sys.executable, "-m", "moefix.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=child_env(dict(os.environ)))
     assert proc.returncode == 0
     assert "gen-data" in proc.stdout

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moefix.corpus import (
+    _OCR_CHARS,
     ALPHABET,
     CorrectionSample,
     MixtureDataset,
@@ -77,9 +78,12 @@ class TestNoiseChannels:
         assert corrupt(channel, text, seed=1) == text
 
     def test_forced_ocr_table(self):
-        channel = NoiseChannel("ocr", 1.0, char_table={"l": ("1",), "o": ("0",)},
-                               digraph_table={})
-        assert corrupt(channel, "llo", seed=3) == "110"
+        # at intensity 1 every character is swapped for one of its ocr confusions
+        channel = NoiseChannel("ocr", 1.0)
+        for seed in range(20):
+            out = corrupt(channel, "llo", seed=seed)
+            assert len(out) == 3
+            assert all(c in _OCR_CHARS[src] for src, c in zip("llo", out))
 
     @pytest.mark.parametrize("kind", ["asr", "ocr", "typo"])
     def test_event_rate_matches_intensity(self, kind):

@@ -65,6 +65,14 @@ class TestWer:
         assert wer("a", "x y z").wer > 1.0
 
 
+def test_breakdowns_sum_field_by_field():
+    a, b = wer("the cat sat", "a cat sat down"), wer("one two", "one")
+    total = sum([a, b], WerBreakdown())
+    assert total == WerBreakdown(a.substitutions + b.substitutions, a.deletions + b.deletions,
+                                 a.insertions + b.insertions, 5)
+    assert total.wer == pytest.approx((a.errors + b.errors) / 5)
+
+
 class TestBleu:
     def test_perfect_corpus(self):
         refs = ["the cat sleeps on the mat here now", "a dog runs in the old park today"]
@@ -173,6 +181,31 @@ class TestEvaluate:
         assert csv.splitlines()[0].startswith("task,n_samples,baseline_wer")
         assert len(csv.strip().splitlines()) == 1 + 2 + 1  # header, two tasks, overall
         assert "overall" in report.to_table()
+
+    def test_csv_is_pinned(self, registry):
+        report = evaluate(make_samples(registry), corrector=lambda s: s.hypotheses[-1],
+                          compute_bleu=True)
+        assert report.to_csv() == (
+            "task,n_samples,baseline_wer,corrected_wer,relative_reduction_pct,baseline_bleu,corrected_bleu\n"
+            "asr,2,0.2500,0.0833,66.67,52.33,77.82\n"
+            "ocr,2,0.2222,0.2222,0.00,49.34,49.34\n"
+            "overall,4,0.2381,0.1429,40.00,51.24,67.44\n"
+        )
+
+    def test_table_shows_bleu_only_when_computed(self, registry):
+        samples = make_samples(registry)
+        plain = evaluate(samples, corrector=lambda s: s.hypotheses[-1]).to_table()
+        assert plain == (
+            "task           n  base WER  corr WER  rel red %\n"
+            "-----------------------------------------------\n"
+            "asr            2    0.2500    0.0833       66.7\n"
+            "ocr            2    0.2222    0.2222        0.0\n"
+            "overall        4    0.2381    0.1429       40.0"
+        )
+        with_bleu = evaluate(samples, corrector=lambda s: s.hypotheses[-1],
+                             compute_bleu=True).to_table().splitlines()
+        assert with_bleu[0] == plain.splitlines()[0] + "  base BLEU  corr BLEU"
+        assert with_bleu[-1] == plain.splitlines()[-1] + "      51.24      67.44"
 
     def test_empty_samples_raise(self):
         with pytest.raises(ValueError, match="no samples"):
