@@ -179,36 +179,22 @@ def clip_global_norm(params, max_norm: float) -> float:
     return norm
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape``, inverting numpy broadcasting."""
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    def bwd(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
-
-    return _node(a.data + b.data, (a, b), bwd)
+    """Elementwise sum of two tensors of one shape; the residual adds."""
+    if a.data.shape != b.data.shape:
+        raise ShapeError(f"add shapes differ: {a.data.shape} + {b.data.shape}")
+    return _node(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy batch broadcasting over leading axes."""
-    if a.data.ndim < 2 or b.data.ndim < 2 or a.data.shape[-1] != b.data.shape[-2]:
+    """``a @ b`` for matrices [n, k] and [k, m]; the MoE gate's product."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
-    out = a.data @ b.data
 
     def bwd(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        return g @ b.data.T, a.data.T @ g
 
-    return _node(out, (a, b), bwd)
+    return _node(a.data @ b.data, (a, b), bwd)
 
 
 def matmul_nt(a: Tensor, b: Tensor) -> Tensor:

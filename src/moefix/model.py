@@ -283,8 +283,7 @@ def causal_attention(
         raise ValueError("the KV cache path is inference-only; run it outside a graph")
     seq, pos, start = rows.seq, rows.pos, rows.start
 
-    w_qkv = _fused_projection(layer, config) if cache is None else cache.projection(
-        layer_index, layer, config)
+    w_qkv = _fused_projection(layer, config) if cache is None else cache.w_qkv[layer_index]
     qkv = (x.data @ w_qkv).reshape(n, 3, h, hd)
     qk = qkv[:, :2].view(complex_dtype)
     qk *= rows.turn
@@ -295,7 +294,7 @@ def causal_attention(
         k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))  # scores read keys transposed
     else:
         q = np.ascontiguousarray(np.swapaxes(qkv[:, 0], 0, 1))[None]
-        k, v = cache.write(layer_index, qkv[:, 1], qkv[:, 2], config)
+        k, v = cache.write(layer_index, qkv[:, 1], qkv[:, 2])
         k_t = np.swapaxes(k, -1, -2)
     merged = np.empty((b, h, t, hd), dtype=dtype)  # head outputs
     lse = np.empty((b, h, t), dtype=dtype) if save else None
@@ -357,49 +356,37 @@ def causal_attention(
 
 class KVCache:
     """Per-layer key/value buffers of one sequence for incremental greedy
-    decoding.
+    decoding, built whole for the weights and precision of ``params``.
 
-    ``k[i]`` and ``v[i]`` are [1, H, max_seq_len, head_dim] buffers, allocated
-    on layer ``i``'s first write and written in place after that; only the
-    first ``length`` positions hold keys and values. The keys are rotated,
-    with each head's features in ``_pair_order``.
-    Cached keys and values hold for the weights and precision that made them,
-    so the cache also keeps, from its first step, each layer's fused
-    projection and the rotary turns of every position.
+    ``k[i]`` and ``v[i]`` are [1, H, max_seq_len, head_dim] buffers written
+    in place; only the first ``length`` positions hold keys and values. The
+    keys are rotated, with each head's features in ``_pair_order``. Cached
+    keys and values hold only for the weights that made them, so the cache
+    also keeps each layer's fused projection ``w_qkv[i]`` and the rotary
+    turns of every position.
     """
 
-    def __init__(self, n_layers: int) -> None:
-        self.k: list[np.ndarray | None] = [None] * n_layers
-        self.v: list[np.ndarray | None] = [None] * n_layers
-        self.w_qkv: list[np.ndarray | None] = [None] * n_layers
-        self.turns: np.ndarray | None = None
+    def __init__(self, params: TransformerParams, config: ModelConfig) -> None:
+        dtype = params.embedding.dtype
+        shape = (1, config.n_heads, config.max_seq_len, config.head_dim)
+        self.k = [np.zeros(shape, dtype=dtype) for _ in params.layers]
+        self.v = [np.zeros(shape, dtype=dtype) for _ in params.layers]
+        self.w_qkv = [_fused_projection(layer, config) for layer in params.layers]
+        self.turns = _turns(config, np.arange(config.max_seq_len), dtype)
         self.length = 0
 
-    def layout(self, config: ModelConfig, t: int, dtype) -> RowLayout:
+    def layout(self, t: int) -> RowLayout:
         """The layout of t tokens right after the cached prefix."""
-        if self.turns is None:
-            self.turns = _turns(config, np.arange(config.max_seq_len), dtype)
         blocks = -(-t // _BLOCK)
         return RowLayout((1, t), np.zeros(t, dtype=np.int64), np.arange(t),
                          np.ones(blocks, dtype=np.int64),
                          self.turns[self.length:self.length + t], self.length)
 
-    def projection(self, i: int, layer: LayerParams, config: ModelConfig) -> np.ndarray:
-        """Layer ``i``'s ``_fused_projection``, built on its first step."""
-        if self.w_qkv[i] is None:
-            self.w_qkv[i] = _fused_projection(layer, config)
-        return self.w_qkv[i]
-
-    def write(self, i: int, k: np.ndarray, v: np.ndarray,
-              config: ModelConfig) -> tuple[np.ndarray, np.ndarray]:
+    def write(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Store the [t, H, hd] keys/values of the t positions after the
         prefix; return [1, H, length + t, hd] views of layer ``i``'s keys and
         values over the prefix plus the new positions."""
-        t, h, hd = k.shape
-        if self.k[i] is None:
-            self.k[i] = np.zeros((1, h, config.max_seq_len, hd), dtype=k.dtype)
-            self.v[i] = np.zeros_like(self.k[i])
-        end = self.length + t
+        end = self.length + len(k)
         self.k[i][0, :, self.length:end] = np.swapaxes(k, 0, 1)
         self.v[i][0, :, self.length:end] = np.swapaxes(v, 0, 1)
         return self.k[i][:, :, :end], self.v[i][:, :, :end]
@@ -416,8 +403,7 @@ def forward(
     params: TransformerParams,
     config: ModelConfig,
     tokens: np.ndarray,
-    mode: str = "infer",
-    task_experts=None,
+    forced=None,
     top_k: int | None = None,
     cache: KVCache | None = None,
     lengths: np.ndarray | None = None,
@@ -425,10 +411,10 @@ def forward(
 ) -> tuple[Tensor, list[RoutingDecision]]:
     """Next-token logits plus one RoutingDecision per layer.
 
-    ``tokens`` is [T] or [B, T] integer ids. In train mode ``task_experts``
-    (scalar or one id per sequence) drives the task-forced route; in infer mode
-    routing is plain top-K and any task argument is ignored. With a ``cache``
-    (infer mode, one sequence), ``tokens`` continue the cached prefix, whose
+    ``tokens`` is [T] or [B, T] integer ids. ``forced`` (an expert id, or one
+    per sequence) drives the task-forced training route; without it routing
+    is plain top-K, with K = ``top_k`` or the config's. With a ``cache``
+    (inference, one sequence), ``tokens`` continue the cached prefix, whose
     keys and values they attend to, and the cache grows by T positions.
 
     ``lengths`` (one per sequence; None: all T) marks the first positions of
@@ -440,10 +426,6 @@ def forward(
     rows) runs the last layer's MoE, the final norm and the LM head on those
     rows only, so the logits and the last decision have one row per index.
     """
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "train" and task_experts is None:
-        raise ValueError("train mode requires task_experts for the forced route")
     tokens = np.asarray(tokens)
     ids = tokens[None, :] if tokens.ndim == 1 else tokens
     b, t = ids.shape
@@ -454,14 +436,11 @@ def forward(
     else:
         lengths = np.asarray(lengths).reshape(b)
         real = ids[np.arange(t)[None, :] < lengths[:, None]]
-    dtype = params.embedding.dtype
-    rows = row_layout(config, lengths, dtype) if cache is None else cache.layout(config, t, dtype)
+    rows = row_layout(config, lengths, params.embedding.dtype) if cache is None else cache.layout(t)
 
     x = ad.take(params.embedding, real)
-    forced = None
-    if mode == "train":
-        per_seq = np.broadcast_to(np.asarray(task_experts, dtype=np.int64), (b,))
-        forced = np.repeat(per_seq, lengths)
+    if forced is not None:  # one id per real row
+        forced = np.repeat(np.broadcast_to(np.asarray(forced, dtype=np.int64), (b,)), lengths)
     last = len(params.layers) - 1
     decisions: list[RoutingDecision] = []
     for i, layer in enumerate(params.layers):
@@ -471,10 +450,10 @@ def forward(
             x = ad.take(x, logit_rows)
             forced = None if forced is None else forced[logit_rows]
         h = ad.rms_norm(x, layer.ffn_norm, config.rms_eps)
-        if mode == "train":
-            y, decision = moe_forward_task(h, layer.moe, forced)
-        else:
+        if forced is None:
             y, decision = moe_forward_infer(h, layer.moe, top_k or config.top_k)
+        else:
+            y, decision = moe_forward_task(h, layer.moe, forced)
         decisions.append(decision)
         x = ad.add(x, y)
 
@@ -541,7 +520,7 @@ def generate(
     output past ``max_new_tokens``.
     """
     prompt = np.asarray(prompt_ids)
-    cache = KVCache(config.n_layers)
+    cache = KVCache(params, config)
     logits, _ = forward_incremental(params, config, prompt, cache, top_k)
     if max_new_tokens < 1:
         return np.zeros(0, dtype=np.int64)

@@ -173,7 +173,7 @@ def make_batch_arrays(batch: list[EncodedSample], pad_id: int):
 
 def nll_loss(params: TransformerParams, config: ModelConfig, batch_arrays,
              task_routing: bool = True):
-    """Mean NLL over target tokens; train-mode forced routing unless ablated.
+    """Mean NLL over target tokens; task-forced routing unless ablated.
 
     The forward pass runs on the real tokens only, and its last layer's MoE,
     the final norm and the LM head on the loss rows only: each
@@ -185,13 +185,9 @@ def nll_loss(params: TransformerParams, config: ModelConfig, batch_arrays,
         raise ValueError("empty batch")
     real = np.arange(ids.shape[1])[None, :] < lengths[:, None]
     loss_rows = np.flatnonzero(mask[real])  # the mask marks real positions only
-    if task_routing:
-        logits, decisions = forward(params, config, ids, mode="train",
-                                    task_experts=task_experts, lengths=lengths,
-                                    logit_rows=loss_rows)
-    else:
-        logits, decisions = forward(params, config, ids, mode="infer", top_k=2,
-                                    lengths=lengths, logit_rows=loss_rows)
+    # top_k is read only on the unforced route: the ablation's plain top-2
+    logits, decisions = forward(params, config, ids, forced=task_experts if task_routing else None,
+                                top_k=2, lengths=lengths, logit_rows=loss_rows)
     return ad.cross_entropy(logits, targets[mask]), decisions
 
 
@@ -459,6 +455,6 @@ def route_stats_over(ckpt: Checkpoint, samples):
                                       ckpt.config.max_seq_len)
     stream = []
     for sample in encoded:
-        _, decisions = forward(ckpt.params, ckpt.config, sample.ids, mode="infer")
+        _, decisions = forward(ckpt.params, ckpt.config, sample.ids)
         stream.extend((sample.task_name, d) for d in decisions)
     return collect_route_stats(stream, n_experts=ckpt.config.n_experts), skipped

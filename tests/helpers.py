@@ -49,12 +49,9 @@ def gradcheck(build, params: list[ad.Tensor], tol: float = 1e-4, h: float = 1e-5
 
 
 def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
-    """Elementwise product node, for the test losses."""
-    def bwd(g):
-        return (ad._unbroadcast(g * b.data, a.data.shape),
-                ad._unbroadcast(g * a.data, b.data.shape))
-
-    return ad._node(a.data * b.data, (a, b), bwd)
+    """Elementwise product node of two tensors of one shape, for the test
+    losses."""
+    return ad._node(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def sum_(x: ad.Tensor, axis=None, keepdims: bool = False) -> ad.Tensor:
@@ -119,9 +116,8 @@ def nll_reference(params, config, batch_arrays, task_routing: bool = True) -> ad
     ids, targets, mask, task_experts, lengths = batch_arrays
     total = None
     for i, n in enumerate(lengths):
-        route = (dict(mode="train", task_experts=int(task_experts[i])) if task_routing
-                 else dict(mode="infer", top_k=2))
-        logits, _ = model.forward(params, config, ids[i, :n], **route)
+        forced = int(task_experts[i]) if task_routing else None
+        logits, _ = model.forward(params, config, ids[i, :n], forced=forced, top_k=2)
         rows = np.flatnonzero(mask[i, :n])
         nll = ad.cross_entropy(ad.take(logits, rows), targets[i, rows])
         share = ad.Tensor(np.asarray(mask[i].sum() / mask.sum(), dtype=logits.dtype))
@@ -169,7 +165,7 @@ def greedy_reference(params, config, prompt, max_new_tokens, eos_id, top_k=None)
     ``model.generate``: after the prompt, each step appends the argmax id and
     runs it alone through the cache, until EOS, ``max_new_tokens`` ids, or a
     full cache (``max_seq_len`` positions)."""
-    cache = model.KVCache(config.n_layers)
+    cache = model.KVCache(params, config)
     logits, _ = model.forward_incremental(params, config, np.asarray(prompt), cache, top_k)
     out: list[int] = []
     while len(out) < max_new_tokens:

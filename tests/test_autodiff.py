@@ -35,6 +35,14 @@ class TestMatmul:
         with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
+    def test_add_and_matmul_take_no_broadcast_operands(self):
+        # every residual add is [n, d] + [n, d] and the gate's product is
+        # [n, d] @ [d, E]: a broadcast or batched operand is a caller's bug
+        with pytest.raises(ad.ShapeError, match=r"\(3, 4\).*\(4,\)"):
+            ad.add(t64(np.zeros((3, 4))), t64(np.zeros(4)))
+        with pytest.raises(ad.ShapeError, match=r"\(2, 3, 4\).*\(4, 2\)"):
+            ad.matmul(t64(np.zeros((2, 3, 4))), t64(np.zeros((4, 2))))
+
     def test_nt_matches_triple_loop_oracle_on_the_transpose(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(3, 4))
@@ -199,7 +207,7 @@ def _proj_loss(out, rng):
 
 
 def _case_add(rng):
-    a, b = _rand(rng, 3, 4), _rand(rng, 4)
+    a, b = _rand(rng, 3, 4), _rand(rng, 3, 4)
     return [a, b], lambda: ad.add(a, b)
 
 
@@ -216,11 +224,6 @@ def _case_matmul(rng):
 def _case_matmul_nt(rng):
     a, b = _rand(rng, 3, 4), _rand(rng, 5, 4)
     return [a, b], lambda: ad.matmul_nt(a, b)
-
-
-def _case_batched_matmul(rng):
-    a, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 2)
-    return [a, b], lambda: ad.matmul(a, b)
 
 
 def _case_sum(rng):
@@ -251,7 +254,6 @@ OP_CASES = {
     "mul": _case_mul,
     "matmul": _case_matmul,
     "matmul_nt": _case_matmul_nt,
-    "batched_matmul": _case_batched_matmul,
     "sum": _case_sum,
     "rms_norm": _case_rms_norm,
     "take": _case_take,

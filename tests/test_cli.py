@@ -452,6 +452,38 @@ class TestEvalCorrectStats:
         assert n > 0
         assert calls == {"wer": 2 * n, "bleu": 2 * len(rows), "correct_hypotheses": n}
 
+    def test_inference_never_takes_the_task_route(self, trained_run, tmp_path, monkeypatch):
+        # the paper's inference runs plain top-K without the expert map: the
+        # task-forced route stays unused by correct, eval and route-stats,
+        # and only a training loss reaches it
+        from moefix import metrics, model
+        from moefix.corpus import read_dataset
+        calls = {"moe_forward_task": 0, "moe_forward_infer": 0}
+        for name in calls:
+            def counting(*a, _real=getattr(model, name), _name=name, **kw):
+                calls[_name] += 1
+                return _real(*a, **kw)
+            monkeypatch.setattr(model, name, counting)
+        tiny_config, data, out = trained_run
+        ckpt = tr.load_checkpoint(out / "model.ck")
+        samples = read_dataset(data, ckpt.registry, ckpt.tokenizer.alphabet)
+        steps = (
+            lambda: metrics.correct_hypotheses(ckpt.params, ckpt.config, ckpt.tokenizer,
+                                               samples[0].task, samples[0].hypotheses),
+            lambda: run_cli("eval", "--checkpoint", str(out / "model.ck"), "--data", str(data),
+                            "--csv", str(tmp_path / "report.csv")),
+            lambda: tr.route_stats_over(ckpt, samples),
+        )
+        for step in steps:
+            infer_before = calls["moe_forward_infer"]
+            step()
+            assert calls["moe_forward_task"] == 0
+            assert calls["moe_forward_infer"] > infer_before
+        encoded, _ = tr.encode_samples(samples[:2], ckpt.tokenizer, ckpt.expert_map,
+                                       ckpt.config.max_seq_len)
+        tr.nll_loss(ckpt.params, ckpt.config, tr.make_batch_arrays(encoded, ckpt.tokenizer.pad_id))
+        assert calls["moe_forward_task"] == ckpt.config.n_layers
+
     def test_eval_skips_and_counts_overlong_prompts(self, trained_run, tmp_path, capsys):
         tiny_config, data, out = trained_run
         lines = data.read_text().splitlines()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from moefix import autodiff as ad
-from moefix import metrics, model
+from moefix import metrics, model, training
 from moefix.autodiff import Tensor
 from moefix.model import (
     KVCache,
@@ -164,8 +164,7 @@ class TestAttention:
             params = init_params(cfg, seed=24)
             tokens = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(2, t))
             with ad.Graph() as graph:
-                forward(params, cfg, tokens, mode="train", task_experts=[0, 1],
-                        lengths=np.array([t, 6]))
+                forward(params, cfg, tokens, forced=[0, 1], lengths=np.array([t, 6]))
             return graph.nodes
 
         nodes = tape(3)
@@ -182,7 +181,7 @@ class TestAttention:
         cfg = tiny_config()
         params = init_params(cfg, seed=25)
         with ad.Graph(), pytest.raises(ValueError, match="inference-only"):
-            forward(params, cfg, np.zeros(3, dtype=np.int64), cache=KVCache(cfg.n_layers))
+            forward(params, cfg, np.zeros(3, dtype=np.int64), cache=KVCache(params, cfg))
 
     def test_rejects_a_layout_of_another_precision(self):
         cfg = tiny_config()
@@ -214,25 +213,11 @@ class TestForward:
             assert len(decisions) == cfg.n_layers
             assert all(d.indices.shape[0] == t for d in decisions)
 
-    def test_infer_mode_ignores_task(self):
-        cfg = tiny_config()
-        params = init_params(cfg, seed=11)
-        tokens = np.arange(8) % cfg.vocab_size
-        a, _ = forward(params, cfg, tokens, mode="infer", task_experts=0)
-        b, _ = forward(params, cfg, tokens, mode="infer", task_experts=2)
-        assert np.array_equal(a.data, b.data)
-
-    def test_train_mode_requires_task(self):
-        cfg = tiny_config()
-        params = init_params(cfg, seed=12)
-        with pytest.raises(ValueError, match="task"):
-            forward(params, cfg, np.zeros(4, dtype=np.int64), mode="train")
-
     def test_train_mode_marks_forced_expert(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=13)
         tokens = np.zeros((2, 6), dtype=np.int64)
-        _, decisions = forward(params, cfg, tokens, mode="train", task_experts=[1, 2])
+        _, decisions = forward(params, cfg, tokens, forced=[1, 2])
         for d in decisions:
             assert d.task_forced is not None
             forced = d.task_forced.reshape(2, 6)
@@ -259,17 +244,18 @@ class TestForward:
 
         for name in ("moe_forward_task", "moe_forward_infer"):
             monkeypatch.setattr(model, name, spying(name))
-        logits, decisions = forward(params, cfg, tokens, mode=mode, task_experts=[0, 2],
+        train = mode == "train"
+        logits, decisions = forward(params, cfg, tokens, forced=[0, 2] if train else None,
                                     lengths=np.array([9, 5]))
         assert logits.shape == (14, cfg.vocab_size)  # one row per real position
         assert all(d.indices.shape[0] == 14 for d in decisions)
-        if mode == "train":
+        if train:
             assert all(d.task_forced.tolist() == [0] * 9 + [2] * 5 for d in decisions)
-        route = "moe_forward_task" if mode == "train" else "moe_forward_infer"
+        route = "moe_forward_task" if train else "moe_forward_infer"
         assert [name for name, _, _ in seen] == [route] * cfg.n_layers
         assert all(d is decision for d, (_, _, decision) in zip(decisions, seen))
         batch_seen, seen[:] = seen[:], []
-        alone = [forward(params, cfg, seq, mode=mode, task_experts=e)
+        alone = [forward(params, cfg, seq, forced=e if train else None)
                  for seq, e in ((long, 0), (short, 2))]
         assert np.allclose(logits.data[:9], alone[0][0].data, rtol=1e-12, atol=1e-12)
         assert np.allclose(logits.data[9:], alone[1][0].data, rtol=1e-12, atol=1e-12)
@@ -325,7 +311,7 @@ class TestGeneration:
         rng = np.random.default_rng(4)
         tokens = rng.integers(0, cfg.vocab_size, size=11)
         full, _ = forward(params, cfg, tokens)
-        cache = KVCache(cfg.n_layers)
+        cache = KVCache(params, cfg)
         inc_a, _ = forward_incremental(params, cfg, tokens[:7], cache)
         inc_b, _ = forward_incremental(params, cfg, tokens[7:], cache)
         inc = np.concatenate([inc_a, inc_b], axis=0)
@@ -336,7 +322,7 @@ class TestGeneration:
         params = init_params(cfg, seed=26, dtype="f64")
         tokens = np.random.default_rng(7).integers(0, cfg.vocab_size, size=75)
         full, _ = forward(params, cfg, tokens)
-        cache = KVCache(cfg.n_layers)
+        cache = KVCache(params, cfg)
         steps = [forward_incremental(params, cfg, tokens[:70], cache)[0]]
         steps += [forward_incremental(params, cfg, tokens[i:i + 1], cache)[0] for i in range(70, 75)]
         assert np.abs(np.concatenate(steps) - full.data).max() <= 1e-12
@@ -346,8 +332,8 @@ class TestGeneration:
         params = init_params(cfg, seed=20, dtype="f32")
         rng = np.random.default_rng(6)
         tokens = rng.integers(0, cfg.vocab_size, size=12)
-        full, _ = forward(params, cfg, tokens, mode="infer")
-        cache = KVCache(cfg.n_layers)
+        full, _ = forward(params, cfg, tokens)
+        cache = KVCache(params, cfg)
         steps = [forward_incremental(params, cfg, tokens[:5], cache)[0]]
         buffers = [id(a) for a in cache.k + cache.v]
         for token in tokens[5:]:
@@ -365,7 +351,7 @@ class TestGeneration:
         # head's product
         cfg = tiny_config(n_layers=n_layers)
         params = init_params(cfg, seed=28)
-        cache = KVCache(cfg.n_layers)
+        cache = KVCache(params, cfg)
         forward_incremental(params, cfg, np.array([1, 2, 3]), cache)
         before = Tensor(0).node_id
         forward_incremental(params, cfg, np.array([4]), cache)
@@ -374,7 +360,7 @@ class TestGeneration:
     def test_incremental_rejects_overflowing_cache(self):
         cfg = tiny_config(max_seq_len=8)
         params = init_params(cfg, seed=21)
-        cache = KVCache(cfg.n_layers)
+        cache = KVCache(params, cfg)
         forward_incremental(params, cfg, np.zeros(6, dtype=np.int64), cache)
         with pytest.raises(ValueError, match="sequence length 9 exceeds max_seq_len 8"):
             forward_incremental(params, cfg, np.zeros(3, dtype=np.int64), cache)
@@ -460,7 +446,7 @@ class TestGeneration:
         params = init_params(cfg, seed=27, dtype="f64")
         tokens = np.random.default_rng(8).integers(0, cfg.vocab_size, size=9)
         full, _ = forward(params, cfg, tokens)
-        cache = KVCache(cfg.n_layers)
+        cache = KVCache(params, cfg)
         forward_incremental(params, cfg, tokens[:5], cache)
         forward_incremental(params, cfg, (tokens[5:8] + 1) % cfg.vocab_size, cache)
         cache.truncate(5)
@@ -469,19 +455,23 @@ class TestGeneration:
         with pytest.raises(ValueError, match="truncate a cache of 9 positions to 10"):
             cache.truncate(10)
 
-    def test_decode_signatures(self):
+    def test_positional_signatures_of_benchmark_hooks(self):
         # callers that wrap these functions (the benchmark's tracer among
-        # them) pass the arguments by position
+        # them) read the arguments by position, under these names
         assert metrics.generate is model.generate
         for fn, names in (
             (model.generate,
              ["params", "config", "prompt_ids", "max_new_tokens", "eos_id", "top_k"]),
             (model.forward_incremental, ["params", "config", "new_tokens", "cache", "top_k"]),
+            (training.make_batch_arrays, ["batch", "pad_id"]),
+            (model.moe_forward_task, ["x", "params", "task_expert"]),
+            (model.moe_forward_infer, ["x", "params", "k"]),
         ):
             sig = inspect.signature(fn).parameters
-            assert list(sig) == names
+            assert list(sig) == names, fn.__name__
             assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in sig.values())
-            assert sig["top_k"].default is None
+        for fn in (model.generate, model.forward_incremental):
+            assert inspect.signature(fn).parameters["top_k"].default is None
 
 
 # Greedy decoding of ``chain_model`` steps each id by +5 (mod 19), so the
