@@ -332,9 +332,11 @@ def write_dataset(path, samples) -> None:
 
 
 def read_dataset(path, registry: TaskRegistry, alphabet: str) -> list[CorrectionSample]:
-    """The samples of a file written by ``write_dataset``. A malformed record,
-    or a hypothesis or target with a character outside ``alphabet`` (the
-    tokenizer's), is an error that names the file and line."""
+    """The samples of a file written by ``write_dataset``. A malformed record
+    (a field of the wrong JSON type included: hypotheses must be a non-empty
+    list of strings, target a string, seed an integer), or a hypothesis or
+    target with a character outside ``alphabet`` (the tokenizer's), is an
+    error that names the file and line."""
     samples = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -342,12 +344,15 @@ def read_dataset(path, registry: TaskRegistry, alphabet: str) -> list[Correction
                 continue
             try:
                 rec = json.loads(line)
-                sample = CorrectionSample(
-                    task=registry.get(rec["task"]),
-                    hypotheses=tuple(rec["hypotheses"]),
-                    target=rec["target"],
-                    seed=int(rec["seed"]),
-                )
+                hypotheses, target, seed = rec["hypotheses"], rec["target"], rec["seed"]
+                if type(hypotheses) is not list or not all(isinstance(h, str) for h in hypotheses):
+                    raise TypeError(f"hypotheses must be a list of strings, got {hypotheses!r}")
+                if not isinstance(target, str):
+                    raise TypeError(f"target must be a string, got {target!r}")
+                if type(seed) is not int:  # a JSON integer, not a float, string or bool
+                    raise TypeError(f"seed must be an integer, got {seed!r}")
+                sample = CorrectionSample(task=registry.get(rec["task"]),
+                                          hypotheses=tuple(hypotheses), target=target, seed=seed)
             except (ValueError, KeyError, TypeError) as exc:
                 raise ValueError(f"{path}: malformed dataset record on line {lineno}: {exc}") from None
             check_alphabet(f"{path}: line {lineno}", (*sample.hypotheses, sample.target), alphabet)

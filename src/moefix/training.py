@@ -207,7 +207,6 @@ class Checkpoint:
     """Everything needed to continue training or run inference."""
 
     config: ModelConfig
-    dtype: str
     params: TransformerParams
     registry: TaskRegistry
     tokenizer: Tokenizer
@@ -216,6 +215,11 @@ class Checkpoint:
     opt: AdamState
     step: int = 0
     total_steps: int = 0
+
+    @property
+    def dtype(self) -> str:
+        """The parameters' precision, "f32" or "f64"."""
+        return next(k for k, v in ad.DTYPES.items() if v == self.params.embedding.dtype)
 
     def named_params(self):
         return list(named_tensors(self.params))
@@ -230,7 +234,7 @@ def new_run(config: ModelConfig, train_config: TrainConfig, registry: TaskRegist
                                   seed=derive_seed(train_config.seed, _MAP_SALT))
     named = list(named_tensors(params))
     return Checkpoint(
-        config=config, dtype=dtype, params=params, registry=registry,
+        config=config, params=params, registry=registry,
         tokenizer=tokenizer, expert_map=expert_map, train_config=train_config,
         opt=AdamState(named), step=0, total_steps=0,
     )
@@ -305,8 +309,10 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raise
 
 
-_HEADER_KEYS = ("model_config", "dtype", "tasks", "alphabet", "expert_map", "train_config",
-                "step", "total_steps", "adam_t", "n_tensors")
+# Each header key and the type of its JSON value.
+_HEADER_TYPES = {"model_config": dict, "dtype": str, "tasks": list, "alphabet": str,
+                 "expert_map": dict, "train_config": dict, "step": int, "total_steps": int,
+                 "adam_t": int, "n_tensors": int}
 
 
 def _config_from(path, cls, values: dict):
@@ -319,9 +325,11 @@ def _config_from(path, cls, values: dict):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``. Raises CheckpointError,
     naming the file, for a bad magic or version, a malformed or incomplete
-    header (an unknown dtype included), a missing, misshapen or truncated
-    tensor, or bytes after the last tensor. The parameters and optimizer
-    moments are the arrays read, with no fresh initialisation."""
+    header (a value of the wrong type, an unknown dtype, or an expert map
+    without one expert id in range per task included), a missing, misshapen,
+    truncated or other-precision tensor, or bytes after the last tensor. The
+    parameters and optimizer moments are the arrays read, with no fresh
+    initialisation."""
     with open(path, "rb") as fh:
         if _read_exact(fh, 4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
@@ -333,10 +341,25 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: malformed header: {exc}") from None
-        missing = [key for key in _HEADER_KEYS if key not in header]
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: malformed header: not a JSON object")
+        missing = [key for key in _HEADER_TYPES if key not in header]
         if missing:
             raise CheckpointError(f"{path}: header is missing {', '.join(missing)}")
-        tensors = dict(_read_tensor(fh) for _ in range(header["n_tensors"]))
+        for key, typ in _HEADER_TYPES.items():
+            if type(header[key]) is not typ:  # exact: a bool is no int here
+                raise CheckpointError(f"{path}: header key {key!r} must be a JSON "
+                                      f"{typ.__name__}, got {header[key]!r}")
+        dtype = header["dtype"]
+        if dtype not in ad.DTYPES:
+            raise CheckpointError(f"{path}: unknown dtype {dtype!r}")
+        tensors = {}
+        for _ in range(header["n_tensors"]):
+            name, arr = _read_tensor(fh)
+            if arr.dtype != ad.DTYPES[dtype]:
+                raise CheckpointError(f"{path}: tensor {name!r} is {arr.dtype}, "
+                                      f"the header's dtype is {dtype}")
+            tensors[name] = arr
         if fh.read(1):
             raise CheckpointError(f"{path}: unexpected bytes after the last of "
                                   f"{header['n_tensors']} tensors")
@@ -344,14 +367,23 @@ def load_checkpoint(path) -> Checkpoint:
     config = _config_from(path, ModelConfig, header["model_config"])
     # headers written while training had a load-balance aux loss hold its
     # coefficient; its default, 0, changed nothing and is dropped
-    if isinstance(header["train_config"], dict) and header["train_config"].pop("aux_loss_coeff", 0) != 0:
+    if header["train_config"].pop("aux_loss_coeff", 0) != 0:
         raise CheckpointError(f"{path}: nonzero aux_loss_coeff, a removed load-balance loss")
     train_config = _config_from(path, TrainConfig, header["train_config"])
-    dtype = header["dtype"]
-    if dtype not in ad.DTYPES:
-        raise CheckpointError(f"{path}: unknown dtype {dtype!r}")
-    registry = TaskRegistry(header["tasks"])
-    tokenizer = Tokenizer(header["tasks"], alphabet=header["alphabet"])
+    tasks = header["tasks"]
+    if not all(type(name) is str for name in tasks):
+        raise CheckpointError(f"{path}: header key 'tasks' must list task names, got {tasks!r}")
+    registry = TaskRegistry(tasks)
+    tokenizer = Tokenizer(tasks, alphabet=header["alphabet"])
+    if tokenizer.vocab_size != config.vocab_size:
+        raise CheckpointError(f"{path}: header keys 'tasks' and 'alphabet' give a vocabulary "
+                              f"of {tokenizer.vocab_size}, the model has {config.vocab_size}")
+    emap = header["expert_map"]
+    assignment, seed = emap.get("assignment"), emap.get("seed")
+    if (type(assignment) is not list or len(assignment) != len(tasks) or type(seed) is not int
+            or not all(type(e) is int and 0 <= e < config.n_experts for e in assignment)):
+        raise CheckpointError(f"{path}: header key 'expert_map' must hold one expert id in "
+                              f"[0, {config.n_experts}) per task and an integer seed, got {emap!r}")
 
     def read(key, shape):
         if key not in tensors:
@@ -363,15 +395,14 @@ def load_checkpoint(path) -> Checkpoint:
 
     params = build_params(config, read)
     opt = AdamState([])
-    opt.t = int(header["adam_t"])
+    opt.t = header["adam_t"]
     for name, tensor in named_tensors(params):
         opt.m[name] = read(f"opt.m.{name}", tensor.data.shape)
         opt.v[name] = read(f"opt.v.{name}", tensor.data.shape)
     return Checkpoint(
-        config=config, dtype=dtype, params=params, registry=registry,
-        tokenizer=tokenizer, expert_map=ExpertMap.from_dict(header["expert_map"]),
-        train_config=train_config, opt=opt,
-        step=int(header["step"]), total_steps=int(header["total_steps"]),
+        config=config, params=params, registry=registry, tokenizer=tokenizer,
+        expert_map=ExpertMap.from_dict(emap), train_config=train_config, opt=opt,
+        step=header["step"], total_steps=header["total_steps"],
     )
 
 

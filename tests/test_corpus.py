@@ -226,6 +226,23 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="line 2"):
             read_dataset(path, registry, ALPHABET)
 
+    @pytest.mark.parametrize("field,value", [
+        ("hypotheses", "helo"),  # a string is not a list of one-letter hypotheses
+        ("hypotheses", []),
+        ("hypotheses", ["a", 5]),
+        ("target", 5),
+        ("target", None),
+        ("seed", "1"),
+        ("seed", 1.5),
+        ("seed", True),
+    ])
+    def test_field_of_the_wrong_type_is_malformed(self, registry, tmp_path, field, value):
+        good = {"task": "asr", "hypotheses": ["a"], "target": "a", "seed": 1}
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(ValueError, match=f"{path}: malformed dataset record on line 2"):
+            read_dataset(path, registry, ALPHABET)
+
     def test_unknown_task_in_file(self, registry, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps({"task": "mt", "hypotheses": ["a"], "target": "a", "seed": 1}) + "\n")

@@ -588,6 +588,43 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("edit,key", [
+        (lambda h: h.update(n_tensors=str(h["n_tensors"])), "n_tensors"),
+        (lambda h: h.update(adam_t=[0]), "adam_t"),
+        (lambda h: h.update(step=None), "step"),
+        (lambda h: h.update(total_steps=True), "total_steps"),
+        (lambda h: h.update(expert_map=[0, 1, 2]), "expert_map"),
+        (lambda h: h.update(tasks="asr"), "tasks"),
+        (lambda h: h.update(tasks=["asr", 3, "typo"]), "tasks"),
+        (lambda h: h.update(tasks=["asr", "ocr"]), "tasks"),  # one tag short of vocab_size
+        (lambda h: h["expert_map"]["assignment"].pop(), "expert_map"),
+        (lambda h: h["expert_map"]["assignment"].__setitem__(0, 4), "expert_map"),
+        (lambda h: h["expert_map"]["assignment"].__setitem__(0, "1"), "expert_map"),
+        (lambda h: h["expert_map"].update(seed=None), "expert_map"),
+    ], ids=["n_tensors-str", "adam_t-list", "step-null", "total_steps-bool", "expert_map-list",
+            "tasks-str", "tasks-int-name", "tasks-vocab", "expert_map-short",
+            "expert_map-out-of-range", "expert_map-str-id", "expert_map-null-seed"])
+    def test_bad_header_value_rejected(self, tmp_path, edit, key):
+        path = self._with_header(tmp_path, edit)
+        with pytest.raises(CheckpointError, match=f"'{key}'") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+
+    def test_dtype_is_the_parameters_and_every_tensor_matches_the_header(self, tmp_path):
+        for dtype in ("f32", "f64"):
+            assert make_setup(dtype=dtype)[0].dtype == dtype
+        path = self._with_header(tmp_path, lambda h: h.update(dtype="f32"))  # over f64 tensors
+        with pytest.raises(CheckpointError, match="tensor 'embedding' is float64, the header's "
+                                                  "dtype is f32") as err:
+            load_checkpoint(path)
+        assert str(path) in str(err.value)
+        ckpt, registry, tok = make_setup(dtype="f32", seed=12)
+        ckpt.params.final_norm.data = ckpt.params.final_norm.data.astype(np.float64)
+        mixed = tmp_path / "mixed.ck"
+        save_checkpoint(ckpt, mixed)
+        with pytest.raises(CheckpointError, match="tensor 'final_norm' is float64"):
+            load_checkpoint(mixed)
+
     def test_unknown_model_config_key_rejected(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h["model_config"].update(n_towers=2))
         with pytest.raises(CheckpointError, match="ModelConfig.*n_towers") as err:
