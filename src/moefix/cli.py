@@ -167,6 +167,8 @@ def cmd_train(args) -> int:
                            save_checkpoint, train)
 
     cfg = resolve_config(args)
+    if args.log_every < 0:
+        raise ConfigError(f"--log-every must be >= 0 (0 = never), got {args.log_every}")
     if args.resume:
         ckpt = load_checkpoint(args.resume)
         # the run continues with the checkpoint's settings and task order, so
@@ -190,8 +192,16 @@ def cmd_train(args) -> int:
     earlier = []  # a resumed run keeps the rows before its checkpoint's step
     if args.resume and os.path.exists(metrics_path):
         with open(metrics_path, encoding="utf-8") as fh:
-            earlier = [row for row in fh.readlines()[1:]
-                       if row.strip() and int(row.split(",", 1)[0]) < ckpt.step]
+            for lineno, row in enumerate(fh.readlines()[1:], start=2):
+                if not row.strip():
+                    continue
+                try:
+                    step = int(row.split(",", 1)[0])
+                except ValueError:
+                    raise ConfigError(f"{metrics_path}: line {lineno}: malformed row "
+                                      f"{row.strip()!r}") from None
+                if step < ckpt.step:
+                    earlier.append(row)
     metrics_fh = open(metrics_path, "w", encoding="utf-8")
     metrics_fh.write(",".join(header) + "\n")
     metrics_fh.writelines(earlier)
@@ -223,7 +233,7 @@ def cmd_eval(args) -> int:
     from .corpus import read_dataset
     from .metrics import correct_hypotheses, decode_budget, evaluate
     from .tasks import format_prompt
-    from .training import load_checkpoint
+    from .training import NoUsableSamples, load_checkpoint
 
     ckpt = load_checkpoint(args.checkpoint)
     samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
@@ -231,6 +241,8 @@ def cmd_eval(args) -> int:
     # counted, as train skips overlong samples
     fitting = [s for s in samples if decode_budget(
         ckpt.config, format_prompt(ckpt.tokenizer, s.task, s.hypotheses)[0]) > 0]
+    if not fitting:
+        raise NoUsableSamples(len(samples))
     if len(fitting) < len(samples):
         print(f"skipped {len(samples) - len(fitting)} overlong samples")
     report = evaluate(fitting, lambda s: correct_hypotheses(
@@ -268,9 +280,9 @@ def cmd_route_stats(args) -> int:
 
     ckpt = load_checkpoint(args.checkpoint)
     samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
+    report, skipped = route_stats_over(ckpt, samples)
     for task in ckpt.registry:
         print(f"# task {task.name} -> expert {ckpt.expert_map.expert_for(task)}")
-    report, skipped = route_stats_over(ckpt, samples)
     if skipped:
         print(f"# skipped {skipped} overlong samples")
     print(report.to_csv(), end="")
@@ -327,13 +339,16 @@ def main(argv=None) -> int:
     _cap_threads(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    from .training import NumericalError
+    from .training import NoUsableSamples, NumericalError
 
     try:
         return args.func(args)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except NoUsableSamples as exc:  # train, eval and route-stats: name the data file
+        print(f"error: {args.data}: {exc}", file=sys.stderr)
+        return 2
     except (KeyError, OSError, ValueError) as exc:  # ConfigError, CheckpointError included
         # str() of a KeyError quotes its message; an OSError's text names the path
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc

@@ -55,8 +55,10 @@ class ModelConfig:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
         if self.d_model // self.n_heads % 2 != 0:
             raise ValueError("head dimension must be even for rotary encoding")
-        if not 1 <= self.top_k <= self.n_experts:
-            raise ValueError(f"top_k {self.top_k} out of range for {self.n_experts} experts")
+        low = min(2, self.n_experts)  # a softmax over one pick gives the gate no gradient
+        if not low <= self.top_k <= self.n_experts:
+            raise ValueError(f"top_k must be in [{low}, {self.n_experts}] for "
+                             f"{self.n_experts} experts, got {self.top_k}")
         require_finite(self)
         if self.rope_base <= 0 or self.rms_eps <= 0:
             raise ValueError(f"rope_base {self.rope_base} and rms_eps {self.rms_eps} must be positive")
@@ -413,7 +415,7 @@ def forward(
 
     ``tokens`` is [T] or [B, T] integer ids. ``forced`` (an expert id, or one
     per sequence) drives the task-forced training route; without it routing
-    is plain top-K, with K = ``top_k`` or the config's. With a ``cache``
+    is plain top-K. Both routes select K = ``top_k`` or the config's. With a ``cache``
     (inference, one sequence), ``tokens`` continue the cached prefix, whose
     keys and values they attend to, and the cache grows by T positions.
 
@@ -453,7 +455,7 @@ def forward(
         if forced is None:
             y, decision = moe_forward_infer(h, layer.moe, top_k or config.top_k)
         else:
-            y, decision = moe_forward_task(h, layer.moe, forced)
+            y, decision = moe_forward_task(h, layer.moe, forced, top_k or config.top_k)
         decisions.append(decision)
         x = ad.add(x, y)
 

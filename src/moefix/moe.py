@@ -3,7 +3,7 @@
 An MoE layer holds a linear gate plus n SwiGLU expert FFNs. Both routes are
 one top-K selection over the gate logits. Inference takes the top-K as they
 are; training ranks each token's task-mapped expert first, so it runs
-alongside the best remaining expert: every task keeps feeding its own expert
+alongside the best K - 1 others: every task keeps feeding its own expert
 while the gate still learns to share.
 """
 from __future__ import annotations
@@ -152,74 +152,59 @@ def _route(x: Tensor, params: MoeLayerParams, k: int,
 
 
 def moe_forward_infer(x: Tensor, params: MoeLayerParams,
-                      k: int = 2) -> tuple[Tensor, RoutingDecision]:
+                      k: int) -> tuple[Tensor, RoutingDecision]:
     """Inference mixing: plain top-k. Task-agnostic by construction."""
     return _route(x, params, k)
 
 
 def moe_forward_task(x: Tensor, params: MoeLayerParams,
-                     task_expert) -> tuple[Tensor, RoutingDecision]:
-    """Training mixing: the task-mapped expert plus the best remaining expert,
-    weighted by the softmax over the two selected logits.
+                     task_expert, k: int) -> tuple[Tensor, RoutingDecision]:
+    """Training mixing: the task-mapped expert plus the best k - 1 others,
+    weighted by the softmax over the k selected logits.
 
     ``task_expert`` is an expert index (scalar, or one per token row of ``x``).
     """
     n_experts = len(params.experts)
-    if n_experts < 2:
-        raise ValueError("task routing needs at least 2 experts for a distinct runner-up")
     forced = np.array(np.broadcast_to(np.asarray(task_expert, dtype=np.int64), (x.data.shape[0],)))
     if forced.min() < 0 or forced.max() >= n_experts:
         raise ValueError(f"task expert id out of range [0, {n_experts})")
-    return _route(x, params, 2, forced)
+    return _route(x, params, k, forced)
 
 
 @dataclass
-class UtilizationReport:
-    """Aggregated routing statistics keyed by task name."""
+class RouteStats:
+    """Routing counts per task id, summed over layers: task t's token rows
+    were routed ``rows[t]`` times, ``counts[t, e]`` of them to expert e, at
+    weights summing to ``weight_sums[t, e]``."""
 
-    n_experts: int
-    selection_counts: dict[str, np.ndarray]
-    weight_sums: dict[str, np.ndarray]
-    token_counts: dict[str, int]
-
-    @property
-    def tasks(self) -> list[str]:
-        return sorted(self.selection_counts)
-
-    def fraction(self, task: str, expert: int) -> float:
-        """Share of the task's token-routings that selected this expert.
-        Each token contributes K selections, so fractions sum to K per task."""
-        return float(self.selection_counts[task][expert]) / self.token_counts[task]
-
-    def mean_weight(self, task: str, expert: int) -> float:
-        c = self.selection_counts[task][expert]
-        return float(self.weight_sums[task][expert] / c) if c else 0.0
+    tasks: list[str]         # names, by task id
+    rows: np.ndarray         # [tasks] int
+    counts: np.ndarray       # [tasks, experts] int
+    weight_sums: np.ndarray  # [tasks, experts] float64
 
     def to_csv(self) -> str:
+        """A line per expert of each routed task, tasks by name: the share of
+        the task's routings that selected the expert (they sum to K) and the
+        expert's mean weight there."""
         lines = ["task,expert,fraction,mean_weight"]
-        for task in self.tasks:
-            for e in range(self.n_experts):
-                lines.append(f"{task},{e},{self.fraction(task, e):.6f},{self.mean_weight(task, e):.6f}")
+        for t in sorted(np.flatnonzero(self.rows), key=self.tasks.__getitem__):
+            for e, (c, w) in enumerate(zip(self.counts[t], self.weight_sums[t])):
+                lines.append(f"{self.tasks[t]},{e},{c / self.rows[t]:.6f},{w / c if c else 0.0:.6f}")
         return "\n".join(lines) + "\n"
 
 
-def collect_route_stats(stream, n_experts: int) -> UtilizationReport:
-    """Fold a stream of (task, RoutingDecision) pairs into a UtilizationReport.
-
-    ``task`` may be a TaskId or a plain name string.
-    """
-    counts: dict[str, np.ndarray] = {}
-    wsums: dict[str, np.ndarray] = {}
-    tokens: dict[str, int] = {}
-    for task, decision in stream:
-        name = getattr(task, "name", None) or str(task)
-        if name not in counts:
-            counts[name] = np.zeros(n_experts, dtype=np.int64)
-            wsums[name] = np.zeros(n_experts, dtype=np.float64)
-            tokens[name] = 0
-        np.add.at(counts[name], decision.indices.ravel(), 1)
-        np.add.at(wsums[name], decision.indices.ravel(), decision.weights.ravel())
-        tokens[name] += decision.indices.shape[0]
-    if not counts:
+def count_routes(routed, tasks: list[str], n_experts: int) -> RouteStats:
+    """The RouteStats of ``routed``, pairs (task ids, RoutingDecision) in
+    which decision row i routes a token of task id ``task_ids[i]``; ``tasks``
+    names the ids."""
+    rows = np.zeros(len(tasks), dtype=np.int64)
+    counts = np.zeros((len(tasks), n_experts), dtype=np.int64)
+    weight_sums = np.zeros((len(tasks), n_experts))
+    for task_ids, decision in routed:
+        cells = (task_ids[:, None], decision.indices)
+        np.add.at(rows, task_ids, 1)
+        np.add.at(counts, cells, 1)
+        np.add.at(weight_sums, cells, decision.weights)
+    if not rows.any():
         raise ValueError("empty routing stream")
-    return UtilizationReport(n_experts, counts, wsums, tokens)
+    return RouteStats(list(tasks), rows, counts, weight_sums)

@@ -72,8 +72,6 @@ def build_expert_map(tasks, n_experts: int, seed: int) -> ExpertMap:
     """Randomly assign each task to an expert, injectively while tasks fit;
     beyond that, round-robin over a seeded permutation."""
     tasks = list(tasks)
-    if n_experts < 2:
-        raise ValueError(f"need at least 2 experts, got {n_experts}")
     rng = np.random.default_rng(seed)
     m = len(tasks)
     if m <= n_experts:

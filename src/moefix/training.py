@@ -18,7 +18,7 @@ from .autodiff import Graph, clip_global_norm, zero_grads
 from .corpus import Tokenizer, derive_seed
 from .model import (ModelConfig, TransformerParams, build_params, forward, init_params,
                     named_tensors, require_finite)
-from .moe import collect_route_stats
+from .moe import count_routes
 from .tasks import ExpertMap, TaskRegistry, build_expert_map, format_prompt
 
 
@@ -28,6 +28,14 @@ class NumericalError(RuntimeError):
 
 class CheckpointError(ValueError):
     """Checkpoint file is missing, malformed, or version-incompatible."""
+
+
+class NoUsableSamples(ValueError):
+    """A dataset has no sample that fits ``max_seq_len``: the message gives
+    the number skipped as overlong."""
+
+    def __init__(self, skipped: int) -> None:
+        super().__init__(f"no usable samples ({skipped} skipped as overlong)")
 
 
 @dataclass
@@ -42,7 +50,7 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     seed: int = 0
-    task_routing: bool = True  # False = ablation: plain top-2 routing in training
+    task_routing: bool = True  # False = ablation: plain top-K routing in training
 
     def __post_init__(self) -> None:
         require_finite(self)
@@ -185,9 +193,8 @@ def nll_loss(params: TransformerParams, config: ModelConfig, batch_arrays,
         raise ValueError("empty batch")
     real = np.arange(ids.shape[1])[None, :] < lengths[:, None]
     loss_rows = np.flatnonzero(mask[real])  # the mask marks real positions only
-    # top_k is read only on the unforced route: the ablation's plain top-2
     logits, decisions = forward(params, config, ids, forced=task_experts if task_routing else None,
-                                top_k=2, lengths=lengths, logit_rows=loss_rows)
+                                lengths=lengths, logit_rows=loss_rows)
     return ad.cross_entropy(logits, targets[mask]), decisions
 
 
@@ -325,8 +332,9 @@ def _config_from(path, cls, values: dict):
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``. Raises CheckpointError,
     naming the file, for a bad magic or version, a malformed or incomplete
-    header (a value of the wrong type, an unknown dtype, or an expert map
-    without one expert id in range per task included), a missing, misshapen,
+    header (a value of the wrong type, an unknown dtype, step counters other
+    than 0 <= step = adam_t <= total_steps, or an expert map without one
+    expert id in range per task included), a missing, misshapen,
     truncated or other-precision tensor, or bytes after the last tensor. The
     parameters and optimizer moments are the arrays read, with no fresh
     initialisation."""
@@ -353,6 +361,13 @@ def load_checkpoint(path) -> Checkpoint:
         dtype = header["dtype"]
         if dtype not in ad.DTYPES:
             raise CheckpointError(f"{path}: unknown dtype {dtype!r}")
+        step, total = header["step"], header["total_steps"]
+        if not 0 <= step <= total:
+            raise CheckpointError(f"{path}: header key 'step' must be in [0, total_steps "
+                                  f"{total}], got {step}")
+        if header["adam_t"] != step:  # train takes one optimizer step per step
+            raise CheckpointError(f"{path}: header key 'adam_t' must equal step {step}, "
+                                  f"got {header['adam_t']}")
         tensors = {}
         for _ in range(header["n_tensors"]):
             name, arr = _read_tensor(fh)
@@ -435,7 +450,7 @@ def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
     encoded, skipped = encode_samples(samples, ckpt.tokenizer, ckpt.expert_map,
                                       ckpt.config.max_seq_len)
     if not encoded:
-        raise ValueError("no usable samples (all empty or overlong)")
+        raise NoUsableSamples(skipped)
     schedule = build_schedule([len(s.ids) for s in encoded], cfg.epochs,
                               cfg.batch_size_tokens, cfg.seed)
     total_steps = len(schedule)
@@ -481,11 +496,17 @@ def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
 
 def route_stats_over(ckpt: Checkpoint, samples):
     """Inference-time routing statistics over a dataset, per task, and the
-    number of samples skipped as overlong (as ``train`` skips them)."""
+    number of samples skipped as overlong (as ``train`` skips them). The
+    samples run in training's batches: one epoch of the checkpoint's schedule."""
     encoded, skipped = encode_samples(samples, ckpt.tokenizer, ckpt.expert_map,
                                       ckpt.config.max_seq_len)
-    stream = []
-    for sample in encoded:
-        _, decisions = forward(ckpt.params, ckpt.config, sample.ids)
-        stream.extend((sample.task_name, d) for d in decisions)
-    return collect_route_stats(stream, n_experts=ckpt.config.n_experts), skipped
+    if not encoded:
+        raise NoUsableSamples(skipped)
+    cfg = ckpt.train_config
+    tasks = np.array([ckpt.registry.get(s.task_name).id for s in encoded])
+    routed = []
+    for batch in build_schedule([len(s.ids) for s in encoded], 1, cfg.batch_size_tokens, cfg.seed):
+        ids, _, _, _, lengths = make_batch_arrays([encoded[i] for i in batch], ckpt.tokenizer.pad_id)
+        _, decisions = forward(ckpt.params, ckpt.config, ids, lengths=lengths)
+        routed += [(np.repeat(tasks[batch], lengths), d) for d in decisions]
+    return count_routes(routed, ckpt.registry.names, ckpt.config.n_experts), skipped

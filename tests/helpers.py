@@ -1,10 +1,14 @@
 """Shared test oracles: finite differences and brute-force references."""
 from __future__ import annotations
 
+import json
+import struct
+from pathlib import Path
+
 import numpy as np
 
 from moefix import autodiff as ad
-from moefix import model
+from moefix import model, moe, training
 
 
 def finite_difference_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
@@ -174,3 +178,29 @@ def greedy_reference(params, config, prompt, max_new_tokens, eos_id, top_k=None)
             break
         logits, _ = model.forward_incremental(params, config, np.array(out[-1:]), cache, top_k)
     return np.array(out, dtype=np.int64)
+
+
+def rewrite_header(src, dst, edit):
+    """Copy the checkpoint file ``src`` to ``dst`` with its JSON header
+    passed through ``edit``; returns ``dst``."""
+    raw = Path(src).read_bytes()
+    (header_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + header_len])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    Path(dst).write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len:])
+    return dst
+
+
+def route_stats_reference(ckpt, samples):
+    """Per-sample oracle for ``training.route_stats_over``: each sample that
+    fits runs alone through the forward pass, and its decisions are counted
+    one by one."""
+    encoded, _ = training.encode_samples(samples, ckpt.tokenizer, ckpt.expert_map,
+                                         ckpt.config.max_seq_len)
+    routed = []
+    for sample in encoded:
+        _, decisions = model.forward(ckpt.params, ckpt.config, sample.ids)
+        task = ckpt.registry.get(sample.task_name).id
+        routed += [(np.full(len(sample.ids), task), d) for d in decisions]
+    return moe.count_routes(routed, ckpt.registry.names, ckpt.config.n_experts)

@@ -11,6 +11,8 @@ from moefix import cli
 from moefix import training as tr
 from moefix.cli import ConfigError, main, parse_config_file, resolve_config
 
+from helpers import rewrite_header
+
 
 TINY = """
 # tiny end-to-end settings
@@ -59,6 +61,15 @@ def with_foreign_character(data, path):
     record["hypotheses"][0] += " caf\u00e9"
     lines[1] = json.dumps(record)
     path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+def overlong_dataset(path, n):
+    """Write ``n`` records to ``path`` whose one hypothesis alone is over
+    ``TINY``'s max_seq_len; returns the path."""
+    path.write_text("".join(json.dumps({"task": "asr", "hypotheses": ["the cat sleeps " * 20],
+                                        "target": "the cat", "seed": i}) + "\n"
+                            for i in range(n)))
     return path
 
 
@@ -268,6 +279,59 @@ class TestTrain:
         assert code == 2
         assert "checkpoint_interval" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.ck"))
+
+    def test_negative_log_every_exits_2(self, tiny_config, tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        assert run_cli("--config", tiny_config, "gen-data", "--out", str(data)) == 0
+        code = run_cli("--config", tiny_config, "train", "--data", str(data),
+                       "--out-dir", str(tmp_path / "o"), "--log-every", "-1")
+        assert code == 2
+        assert "--log-every must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_top_k_1_with_several_experts_exits_2(self, tiny_config, tmp_path, capsys):
+        # with two or more experts, K = 1 gives the gate no gradient
+        data = tmp_path / "data.jsonl"
+        assert run_cli("--config", tiny_config, "gen-data", "--out", str(data)) == 0
+        path = tmp_path / "k1.cfg"
+        path.write_text(TINY.replace("n_experts = 2\ntop_k = 2", "n_experts = 4\ntop_k = 1"))
+        code = run_cli("--config", str(path), "train", "--data", str(data),
+                       "--out-dir", str(tmp_path / "o"))
+        assert code == 2
+        assert "top_k must be in [2, 4] for 4 experts, got 1" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.ck"))
+
+    def test_resume_with_a_malformed_metrics_row_names_file_and_line(self, tiny_config,
+                                                                      tmp_path, capsys):
+        data = tmp_path / "data.jsonl"
+        run_cli("--config", tiny_config, "gen-data", "--out", str(data))
+        cfg_interval = tmp_path / "cfg_interval.cfg"
+        cfg_interval.write_text(TINY + "checkpoint_interval = 3\n")
+        out = tmp_path / "run"
+        assert run_cli("--config", str(cfg_interval), "train", "--data", str(data),
+                       "--out-dir", str(out)) == 0
+        metrics = out / "metrics.csv"
+        lines = metrics.read_text().splitlines()
+        lines[3] = "garbage," + lines[3].split(",", 1)[1]
+        metrics.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("--config", str(cfg_interval), "train", "--data", str(data),
+                       "--out-dir", str(out), "--resume", str(out / "checkpoint_000003.ck"))
+        assert code == 2
+        assert f"{metrics}: line 4: malformed row 'garbage," in capsys.readouterr().err
+
+    @pytest.mark.parametrize("step", [1000000, -3], ids=["past-total", "negative"])
+    def test_resume_from_a_bad_step_counter_exits_2(self, trained_run, tmp_path, capsys, step):
+        # a step past total_steps used to resume, exit 0 and save step 1000000
+        # of 30; a negative one failed in the schedule without naming the file
+        tiny_config, data, out = trained_run
+        bad = rewrite_header(out / "model.ck", tmp_path / "bad.ck",
+                             lambda h: h.update(step=step, adam_t=step))
+        code = run_cli("--config", tiny_config, "train", "--data", str(data),
+                       "--out-dir", str(tmp_path / "o"), "--resume", str(bad))
+        assert code == 2
+        assert f"{bad}: header key 'step' must be in [0, total_steps" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_run_artifacts(self, trained_run):
         tiny_config, data, out = trained_run
@@ -573,6 +637,43 @@ class TestEvalCorrectStats:
         code = run_cli("eval", "--checkpoint", str(bad), "--data", str(tmp_path / "x.jsonl"))
         assert code == 2
         assert "version" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "route-stats"])
+def test_no_usable_sample_exits_2_naming_the_file(trained_run, tmp_path, capsys, command):
+    # route-stats printed "empty routing stream" and no skip count, train
+    # named no file and eval said only "no samples to evaluate"
+    tiny_config, data, out = trained_run
+    overlong = overlong_dataset(tmp_path / "overlong.jsonl", 12)
+    args = {"train": ["--config", tiny_config, "train", "--out-dir", str(tmp_path / "o")],
+            "eval": ["eval", "--checkpoint", str(out / "model.ck")],
+            "route-stats": ["route-stats", "--checkpoint", str(out / "model.ck")]}[command]
+    capsys.readouterr()
+    assert run_cli(*args, "--data", str(overlong)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {overlong}: no usable samples (12 skipped as overlong)" in captured.err
+
+
+@pytest.mark.parametrize("task_routing", ["true", "false"])
+def test_one_expert_runs_every_command(tmp_path, capsys, task_routing):
+    # the dense control: one expert at K = 1, on either training route
+    cfg = tmp_path / "dense.cfg"
+    cfg.write_text(TINY.replace("n_experts = 2\ntop_k = 2", "n_experts = 1\ntop_k = 1")
+                   + f"task_routing = {task_routing}\n")
+    data, out = tmp_path / "data.jsonl", tmp_path / "out"
+    assert run_cli("--config", str(cfg), "gen-data", "--out", str(data)) == 0
+    assert run_cli("--config", str(cfg), "train", "--data", str(data), "--out-dir", str(out)) == 0
+    ckpt = tr.load_checkpoint(out / "model.ck")
+    assert ckpt.expert_map.assignment == (0, 0, 0)
+    assert run_cli("eval", "--checkpoint", str(out / "model.ck"), "--data", str(data)) == 0
+    capsys.readouterr()
+    assert run_cli("route-stats", "--checkpoint", str(out / "model.ck"), "--data", str(data)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if l.startswith("#")] == [
+        f"# task {name} -> expert 0" for name in ("asr", "ocr", "typo")]
+    assert lines[3:] == ["task,expert,fraction,mean_weight"] + [
+        f"{name},0,1.000000,1.000000" for name in ("asr", "ocr", "typo")]
 
 
 def test_module_entrypoint_help():

@@ -236,8 +236,8 @@ class TestForward:
         def spying(name):
             real = getattr(model, name)
 
-            def spy(x, moe_params, route_arg):
-                y, decision = real(x, moe_params, route_arg)
+            def spy(x, moe_params, *route_args):
+                y, decision = real(x, moe_params, *route_args)
                 seen.append((name, x.data, decision))
                 return y, decision
             return spy
@@ -464,7 +464,7 @@ class TestGeneration:
              ["params", "config", "prompt_ids", "max_new_tokens", "eos_id", "top_k"]),
             (model.forward_incremental, ["params", "config", "new_tokens", "cache", "top_k"]),
             (training.make_batch_arrays, ["batch", "pad_id"]),
-            (model.moe_forward_task, ["x", "params", "task_expert"]),
+            (model.moe_forward_task, ["x", "params", "task_expert", "k"]),
             (model.moe_forward_infer, ["x", "params", "k"]),
         ):
             sig = inspect.signature(fn).parameters

@@ -7,7 +7,7 @@ from moefix.moe import (
     ExpertParams,
     MoeLayerParams,
     RoutingDecision,
-    collect_route_stats,
+    count_routes,
     moe_forward_infer,
     moe_forward_task,
 )
@@ -84,7 +84,7 @@ class TestGateTopk:
         if route == "infer":
             _, dec = moe_forward_infer(x, layer, k=k)
         else:
-            _, dec = moe_forward_task(x, layer, rng.integers(0, 4, size=n))
+            _, dec = moe_forward_task(x, layer, rng.integers(0, 4, size=n), k=2)
         keep = np.zeros((n, 4), dtype=bool)
         np.put_along_axis(keep, dec.indices, True, axis=1)
         oracle = masked_softmax_reference(x.data @ layer.gate.data, keep)
@@ -136,7 +136,7 @@ class TestTaskForward:
         layer = make_layer(np.random.default_rng(5), d=4, n_experts=4)
         layer.gate = Tensor(np.eye(4), requires_grad=True)
         x = Tensor(np.array([[3.0, 0.5, 2.0, 1.0]]))
-        _, dec = moe_forward_task(x, layer, task_expert=1)
+        _, dec = moe_forward_task(x, layer, task_expert=1, k=2)
         assert dec.indices.tolist() == [[1, 0]]
         assert dec.weights[0, 0] == pytest.approx(0.07585818002124355, abs=1e-9)
         assert dec.weights[0, 1] == pytest.approx(0.9241418199787564, abs=1e-9)
@@ -145,25 +145,41 @@ class TestTaskForward:
     def test_task_expert_equals_argmax_picks_second_best(self):
         layer = make_layer(np.random.default_rng(6), d=4, n_experts=4)
         layer.gate = Tensor(np.eye(4), requires_grad=True)
-        _, dec = moe_forward_task(Tensor(np.array([[3.0, 0.5, 2.0, 1.0]])), layer, task_expert=0)
+        x = Tensor(np.array([[3.0, 0.5, 2.0, 1.0]]))
+        _, dec = moe_forward_task(x, layer, task_expert=0, k=2)
         assert dec.indices.tolist() == [[0, 2]]
 
     def test_all_equal_logits_tie_to_lowest(self):
         layer = make_layer(np.random.default_rng(7), d=4, n_experts=4)
         layer.gate = Tensor(np.eye(4), requires_grad=True)
-        _, dec = moe_forward_task(Tensor(np.zeros((1, 4))), layer, task_expert=2)
+        _, dec = moe_forward_task(Tensor(np.zeros((1, 4))), layer, task_expert=2, k=2)
         assert dec.indices.tolist() == [[2, 0]]
         assert np.allclose(dec.weights, [[0.5, 0.5]])
 
-    def test_rejects_single_expert(self):
-        layer = make_layer(np.random.default_rng(8), n_experts=1)
-        with pytest.raises(ValueError, match="2 experts"):
-            moe_forward_task(Tensor(np.zeros((1, 6))), layer, task_expert=0)
+    def test_k_ranks_the_task_expert_first_then_the_best_others(self):
+        layer = make_layer(np.random.default_rng(5), d=4, n_experts=4)
+        layer.gate = Tensor(np.eye(4), requires_grad=True)
+        x = Tensor(np.array([[3.0, 0.5, 2.0, 1.0]]))
+        _, dec = moe_forward_task(x, layer, task_expert=1, k=3)
+        assert dec.indices.tolist() == [[1, 0, 2]]
+        keep = np.isin(np.arange(4), [0, 1, 2])[None, :]
+        want = masked_softmax_reference(x.data, keep)[0, [1, 0, 2]]
+        assert np.abs(dec.weights[0] - want).max() <= 1e-12
+
+    def test_single_expert_is_its_own_route(self):
+        # a dense layer: every task maps to expert 0, the one selection, at weight 1
+        rng = np.random.default_rng(8)
+        layer = make_layer(rng, n_experts=1)
+        x = Tensor(rng.normal(size=(3, 6)))
+        y, dec = moe_forward_task(x, layer, task_expert=0, k=1)
+        assert dec.indices.tolist() == [[0]] * 3
+        assert dec.weights.tolist() == [[1.0]] * 3
+        assert np.array_equal(y.data, swiglu_reference(x.data, layer.experts[0]))
 
     def test_rejects_bad_expert_id(self):
         layer = make_layer(np.random.default_rng(9), n_experts=3)
         with pytest.raises(ValueError, match="out of range"):
-            moe_forward_task(Tensor(np.zeros((1, 6))), layer, task_expert=3)
+            moe_forward_task(Tensor(np.zeros((1, 6))), layer, task_expert=3, k=2)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_selection_matches_bruteforce_oracle(self, dtype):
@@ -175,7 +191,7 @@ class TestTaskForward:
                             requires_grad=True)
         x = Tensor(rng.integers(-2, 3, size=(n, d)).astype(dtype))
         tasks = rng.integers(0, n_experts, size=n)
-        y, dec = moe_forward_task(x, layer, tasks)
+        y, dec = moe_forward_task(x, layer, tasks, k=2)
 
         logits = x.data.astype(np.float64) @ layer.gate.data.astype(np.float64)
         ties = 0
@@ -215,7 +231,7 @@ class TestRoutingInvariants:
             assert all(len(set(row)) == k for row in dec.indices.tolist())
             assert (dec.weights > 0).all()
 
-        _, dec = moe_forward_task(x, layer, tasks)
+        _, dec = moe_forward_task(x, layer, tasks, k=2)
         assert (dec.indices[:, 0] == tasks).all()          # forced expert always present
         assert (dec.indices[:, 1] != tasks).all()          # and never duplicated
         assert np.abs(dec.weights.sum(axis=-1) - 1.0).max() <= 1e-6
@@ -227,7 +243,7 @@ class TestRoutingInvariants:
         y_infer, dec_infer = moe_forward_infer(x, layer, k=2)
         top2 = np.sort(dec_infer.indices, axis=-1)
         # force the task expert to the gate's own #1 choice: same pair as infer
-        y_task, dec_task = moe_forward_task(x, layer, dec_infer.indices[:, 0])
+        y_task, dec_task = moe_forward_task(x, layer, dec_infer.indices[:, 0], k=2)
         assert np.array_equal(np.sort(dec_task.indices, axis=-1), top2)
         assert np.abs(y_task.data - y_infer.data).max() < 1e-6
 
@@ -238,11 +254,11 @@ class TestRoutingInvariants:
         proj = rng.normal(size=(4, 5))
 
         def loss_value():
-            y, _ = moe_forward_task(x, layer, task_expert=1)
+            y, _ = moe_forward_task(x, layer, task_expert=1, k=2)
             return float((y.data * proj).sum())
 
         with Graph():
-            y, _ = moe_forward_task(x, layer, task_expert=1)
+            y, _ = moe_forward_task(x, layer, task_expert=1, k=2)
             ad.backward(sum_(mul(y, Tensor(proj))))
         numeric = finite_difference_grad(lambda: loss_value(), layer.gate.data)
         assert layer.gate.grad is not None
@@ -265,7 +281,7 @@ class TestDispatchGradients:
         if rows is not None:
             x, tasks = ad.take(x, rows), tasks[rows]
         if name == "task":
-            return moe_forward_task(x, layer, tasks)
+            return moe_forward_task(x, layer, tasks, k=2)
         return moe_forward_infer(x, layer, k=cls.K[name])
 
     @pytest.mark.parametrize("route", sorted(K))
@@ -301,40 +317,46 @@ class TestDispatchGradients:
         assert np.array_equal(dec_sub.weights, dec_all.weights[rows])
 
 
+def fraction(report, task, expert):
+    """Share of the task's routings that selected the expert."""
+    return report.counts[task, expert] / report.rows[task]
+
+
 class TestRouteStats:
     def test_single_decision(self):
         dec = RoutingDecision(indices=np.array([[3]]), weights=np.array([[1.0]]))
-        report = collect_route_stats([("asr", dec)], n_experts=4)
-        assert report.fraction("asr", 3) == 1.0
-        assert report.mean_weight("asr", 3) == 1.0
-        assert report.fraction("asr", 0) == 0.0
+        report = count_routes([(np.array([0]), dec)], ["asr"], n_experts=4)
+        assert fraction(report, 0, 3) == 1.0
+        assert report.weight_sums[0, 3] / report.counts[0, 3] == 1.0  # the mean weight
+        assert fraction(report, 0, 0) == 0.0
 
     def test_uniform_routing_monte_carlo(self):
         rng = np.random.default_rng(14)
         layer = identity_gate_layer(4)
         x = Tensor(rng.normal(size=(10_000, 4)))
         _, dec = moe_forward_infer(x, layer, k=2)
-        report = collect_route_stats([("t", dec)], n_experts=4)
+        report = count_routes([(np.zeros(10_000, dtype=np.int64), dec)], ["t"], n_experts=4)
         sigma = np.sqrt(0.5 * 0.5 / 10_000)
         for e in range(4):
-            assert abs(report.fraction("t", e) - 0.5) <= 3 * sigma + 1e-12
+            assert abs(fraction(report, 0, e) - 0.5) <= 3 * sigma + 1e-12
 
     def test_fractions_sum_to_k(self):
         rng = np.random.default_rng(15)
         layer = make_layer(rng, n_experts=4)
         for k in (1, 2, 3):
             _, dec = moe_forward_infer(Tensor(rng.normal(size=(100, 6))), layer, k=k)
-            report = collect_route_stats([("t", dec)], n_experts=4)
-            total = sum(report.fraction("t", e) for e in range(4))
+            report = count_routes([(np.zeros(100, dtype=np.int64), dec)], ["t"], n_experts=4)
+            total = sum(fraction(report, 0, e) for e in range(4))
             assert total == pytest.approx(k, abs=1e-9)
 
     def test_empty_stream_raises(self):
         with pytest.raises(ValueError, match="empty"):
-            collect_route_stats([], n_experts=4)
+            count_routes([], ["t"], n_experts=4)
 
     def test_csv_format(self):
         dec = RoutingDecision(indices=np.array([[0, 1]]), weights=np.array([[0.6, 0.4]]))
-        report = collect_route_stats([("asr", dec), ("ocr", dec)], n_experts=3)
+        report = count_routes([(np.array([0]), dec), (np.array([1]), dec)], ["asr", "ocr"],
+                              n_experts=3)
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == "task,expert,fraction,mean_weight"
         assert len(lines) == 1 + 2 * 3

@@ -52,9 +52,9 @@ class TestExpertMap:
         counts = np.bincount(emap.assignment, minlength=3)
         assert counts.max() - counts.min() <= 1  # as even as 7 over 3 allows
 
-    def test_rejects_single_expert(self, registry):
-        with pytest.raises(ValueError, match="2 experts"):
-            build_expert_map(registry, 1, seed=0)
+    def test_single_expert_takes_every_task(self, registry):
+        # a dense model: one expert, so every task maps to it
+        assert build_expert_map(registry, 1, seed=0).assignment == (0, 0, 0)
 
     def test_assignment_marginal_is_uniform(self, registry):
         # over seeds, task 0 lands on each of 8 experts with frequency 1/8

@@ -31,7 +31,7 @@ from moefix.training import (
     train,
 )
 
-from helpers import nll_reference
+from helpers import nll_reference, rewrite_header, route_stats_reference
 
 
 def make_registry():
@@ -268,6 +268,20 @@ class TestNllLoss:
         assert all(d.indices.shape == (lengths.sum(), 2) for d in inner)
         assert last.indices.shape == (arrays[2].sum(), 2)
         assert arrays[2].sum() < lengths.sum()
+
+    @pytest.mark.parametrize("task_routing", [True, False])
+    def test_both_routes_select_the_config_top_k(self, task_routing):
+        ckpt, registry, tok = make_setup(top_k=3)
+        encoded, _ = encode_samples(make_dataset(registry, n=2), tok, ckpt.expert_map, 192)
+        arrays = make_batch_arrays(encoded, tok.pad_id)
+        with Graph():
+            _, decisions = nll_loss(ckpt.params, ckpt.config, arrays, task_routing=task_routing)
+        assert all(d.indices.shape[1] == 3 for d in decisions)
+        assert all(len(set(row)) == 3 for d in decisions for row in d.indices.tolist())
+        if task_routing:  # the mapped expert ranks first
+            assert all((d.indices[:, 0] == d.task_forced).all() for d in decisions)
+            first = decisions[0].task_forced
+            assert np.array_equal(first, np.repeat(arrays[3], arrays[4]))
 
     @pytest.mark.parametrize("task_routing", [True, False])
     def test_matches_per_sample_unpadded_oracle(self, task_routing):
@@ -563,14 +577,7 @@ class TestCheckpoint:
         ckpt, registry, tok = make_setup(seed=12)
         path = tmp_path / "m.ck"
         save_checkpoint(ckpt, path)
-        raw = path.read_bytes()
-        (header_len,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + header_len])
-        edit(header)
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        edited = tmp_path / "edited.ck"
-        edited.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + header_len:])
-        return edited
+        return rewrite_header(path, tmp_path / "edited.ck", edit)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         ckpt, registry, tok = make_setup(seed=13)
@@ -601,9 +608,13 @@ class TestCheckpoint:
         (lambda h: h["expert_map"]["assignment"].__setitem__(0, 4), "expert_map"),
         (lambda h: h["expert_map"]["assignment"].__setitem__(0, "1"), "expert_map"),
         (lambda h: h["expert_map"].update(seed=None), "expert_map"),
+        (lambda h: h.update(step=31, adam_t=31, total_steps=30), "step"),
+        (lambda h: h.update(step=-3, adam_t=-3, total_steps=30), "step"),
+        (lambda h: h.update(step=5, adam_t=4, total_steps=30), "adam_t"),
     ], ids=["n_tensors-str", "adam_t-list", "step-null", "total_steps-bool", "expert_map-list",
             "tasks-str", "tasks-int-name", "tasks-vocab", "expert_map-short",
-            "expert_map-out-of-range", "expert_map-str-id", "expert_map-null-seed"])
+            "expert_map-out-of-range", "expert_map-str-id", "expert_map-null-seed",
+            "step-past-total", "step-negative", "adam_t-not-step"])
     def test_bad_header_value_rejected(self, tmp_path, edit, key):
         path = self._with_header(tmp_path, edit)
         with pytest.raises(CheckpointError, match=f"'{key}'") as err:
@@ -701,6 +712,26 @@ class TestRouteStats:
         samples = make_dataset(registry, n=2)
         report, skipped = route_stats_over(ckpt, samples)
         assert skipped == 0
-        for task in report.tasks:
-            total = sum(report.fraction(task, e) for e in range(4))
-            assert total == pytest.approx(ckpt.config.top_k, abs=1e-9)
+        fractions = report.counts / report.rows[:, None]
+        assert fractions.shape == (3, 4)
+        assert fractions.sum(axis=1) == pytest.approx([ckpt.config.top_k] * 3, abs=1e-9)
+
+    def test_batched_counts_match_per_sample_reference(self):
+        ckpt, registry, tok = make_setup(seed=16)
+        ckpt.train_config = TrainConfig(seed=16, batch_size_tokens=300)
+        samples = make_dataset(registry, n=6)
+        schedule = build_schedule([len(s.ids) for s in encode_samples(
+            samples, tok, ckpt.expert_map, 192)[0]], 1, 300, 16)
+        assert len(schedule) > 1 and max(map(len, schedule)) > 1  # several padded batches
+        report, _ = route_stats_over(ckpt, samples)
+        want = route_stats_reference(ckpt, samples)
+        assert report.tasks == want.tasks
+        assert np.array_equal(report.rows, want.rows)
+        assert np.array_equal(report.counts, want.counts)
+        assert np.allclose(report.weight_sums, want.weight_sums, rtol=1e-12, atol=0)
+        assert report.to_csv() == want.to_csv()
+
+    def test_no_usable_sample_is_counted(self):
+        ckpt, registry, tok = make_setup(seed=15, max_seq_len=20)
+        with pytest.raises(tr.NoUsableSamples, match=r"\(12 skipped as overlong\)"):
+            route_stats_over(ckpt, make_dataset(registry, n=4))
