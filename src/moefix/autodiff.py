@@ -40,7 +40,14 @@ def active_graph() -> "Graph | None":
 
 
 class Graph:
-    """Recording tape for one forward/backward pass, confined to one thread."""
+    """Recording tape for one forward/backward pass, confined to one thread.
+
+    The tape lives only inside the ``with`` block: on exit every recorded node
+    drops its parents and its backward closure, so the activations the closures
+    saved are freed with the graph and one step's tape never outlives it. The
+    node outputs stay readable; ``backward`` on a node of an exited graph raises
+    RuntimeError.
+    """
 
     def __init__(self) -> None:
         self.nodes: list[Tensor] = []
@@ -53,7 +60,14 @@ class Graph:
         popped = _graph_stack().pop()
         if popped is not self:  # pragma: no cover - misuse guard
             raise RuntimeError("graphs must be exited in LIFO order")
+        for node in self.nodes:
+            node._parents = ()
+            node._backward = _released
         return False
+
+
+def _released(g):
+    raise RuntimeError("backward through a node whose graph has exited")
 
 
 def _coerce(data, dtype) -> np.ndarray:
@@ -118,7 +132,9 @@ def backward(loss: Tensor) -> None:
 
     Walks the active graph's tape once, in reverse creation order. Intermediate
     gradients live in a per-call map; leaf (parameter) gradients accumulate
-    into ``Tensor.grad`` so repeated calls sum until ``zero_grads``.
+    into ``Tensor.grad`` so repeated calls inside one graph sum until
+    ``zero_grads``. Raises RuntimeError when no graph is active or the graph
+    that recorded ``loss`` has exited (its tape is gone).
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -129,7 +145,7 @@ def backward(loss: Tensor) -> None:
         if loss.requires_grad:
             _leaf_accumulate(loss, seed)
         return
-    if graph is None:
+    if graph is None or loss._backward is _released:
         raise RuntimeError("backward called outside the graph that recorded the loss")
     grads: dict[int, np.ndarray] = {id(loss): seed}
     for node in reversed(graph.nodes):

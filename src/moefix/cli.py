@@ -164,7 +164,7 @@ def cmd_train(args) -> int:
     from .model import ModelConfig
     from .tasks import TaskRegistry
     from .training import (TrainConfig, load_checkpoint, metrics_header, new_run,
-                           save_checkpoint, train)
+                           save_checkpoint, train, usable_samples)
 
     cfg = resolve_config(args)
     if args.log_every < 0:
@@ -183,6 +183,7 @@ def cmd_train(args) -> int:
         ckpt = new_run(model_cfg, TrainConfig(**_fields_of(TrainConfig, cfg)), registry,
                        tokenizer, dtype=cfg["precision"])
     samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
+    usable_samples(ckpt, samples)  # refuse unusable data before writing into the run directory
     os.makedirs(args.out_dir, exist_ok=True)
     with open(os.path.join(args.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
         fh.writelines(f"{name} = {value}\n" for name, value in cfg.items())

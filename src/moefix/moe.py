@@ -59,6 +59,9 @@ def _topk(logits: np.ndarray, k: int) -> np.ndarray:
     return np.argsort(-logits, axis=-1, kind="stable")[..., :k]
 
 
+_TILE_ROWS = 128  # rows per tile of the SwiGLU backward: its buffers stay in cache
+
+
 def _dispatch(x: Tensor, experts: list[ExpertParams], logits: Tensor,
               idx: np.ndarray) -> tuple[Tensor, np.ndarray]:
     """Dropless sorted dispatch: ``out[i] = sum_j w[i, j] *
@@ -70,6 +73,11 @@ def _dispatch(x: Tensor, experts: list[ExpertParams], logits: Tensor,
     combine is the inverse permutation, a reshape to [n, K, d] and a sum over
     K, so neither pass scatter-adds. The gate gradient is nonzero at the
     selected logits only. Outside a graph the node saves nothing.
+
+    The backward pass recomputes the sigmoid and runs the SwiGLU chain rule
+    over tiles of ``_TILE_ROWS`` rows in two reused buffers, with every
+    product in the forward formula's operand order, so the gradients are
+    bitwise those of the whole-block formula.
     """
     n, k = idx.shape
     d = x.data.shape[1]
@@ -110,18 +118,34 @@ def _dispatch(x: Tensor, experts: list[ExpertParams], logits: Tensor,
         g_ys = (g[:, None, :] * w[:, :, None]).reshape(n * k, d)[order]
         g_xs = np.empty_like(xs)
         g_params = []
+        sig = np.empty((_TILE_ROWS, experts[0].up.data.shape[1]), dtype=xs.dtype)
+        act = np.empty_like(sig)
         for e, expert in enumerate(experts):
             if saved[e] is None:
                 g_params += [None, None, None]
                 continue
             lo, hi = bounds[e], bounds[e + 1]
             h_gate, h_up = saved[e]
-            sig = 1.0 / (1.0 + np.exp(-h_gate))
-            act = h_gate * sig
-            gated = act * h_up
             g_gated = g_ys[lo:hi] @ expert.down.data.T
-            g_h_up = g_gated * act
-            g_h_gate = (g_gated * h_up) * (sig * (1.0 + h_gate * (1.0 - sig)))
+            gated = np.empty_like(g_gated)
+            g_h_up = np.empty_like(g_gated)
+            g_h_gate = g_gated  # overwritten tile by tile, each after its last read
+            for a in range(0, hi - lo, _TILE_ROWS):
+                b = min(a + _TILE_ROWS, hi - lo)
+                hg, hu, gg, s, t = h_gate[a:b], h_up[a:b], g_gated[a:b], sig[:b - a], act[:b - a]
+                np.negative(hg, out=s)  # sig = 1 / (1 + exp(-h_gate))
+                np.exp(s, out=s)
+                np.add(1.0, s, out=s)
+                np.divide(1.0, s, out=s)
+                np.multiply(hg, s, out=t)  # act
+                np.multiply(t, hu, out=gated[a:b])
+                np.multiply(gg, t, out=g_h_up[a:b])
+                np.subtract(1.0, s, out=t)  # act' = sig * (1 + h_gate * (1 - sig))
+                np.multiply(hg, t, out=t)
+                np.add(1.0, t, out=t)
+                np.multiply(s, t, out=t)
+                np.multiply(gg, hu, out=gg)  # g_h_gate = (g_gated * h_up) * act'
+                np.multiply(gg, t, out=gg)
             g_xs[lo:hi] = g_h_up @ expert.up.data.T + g_h_gate @ expert.gate_proj.data.T
             g_params += [xs[lo:hi].T @ g_h_up, xs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
         g_slots = np.empty_like(g_xs)

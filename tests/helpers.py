@@ -78,6 +78,51 @@ def swiglu_reference(x: np.ndarray, expert) -> np.ndarray:
     return (h * sig * (x @ expert.up.data)) @ expert.down.data
 
 
+def dispatch_backward_reference(x, experts, logits, idx, g):
+    """The MoE dispatch node's backward pass over whole expert blocks, the
+    oracle for its tiled SwiGLU chain: arrays ``x`` [n, d] and ``logits``
+    [n, E], the selected experts ``idx`` [n, K] and the output gradient ``g``
+    [n, d]. Returns what the node's backward returns: the gradients of x and
+    of the logits, then up, gate_proj and down per expert (None for an expert
+    with no rows)."""
+    n, k = idx.shape
+    d = x.shape[1]
+    picked = (np.arange(n)[:, None], idx)
+    z = logits[picked]
+    w = np.exp(z - z.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    order = np.argsort(idx.ravel(), kind="stable")
+    bounds = np.searchsorted(idx.ravel()[order], np.arange(len(experts) + 1))
+    xs = x[order // k]
+    g_ys = (g[:, None, :] * w[:, :, None]).reshape(n * k, d)[order]
+    ys, g_xs = np.empty_like(xs), np.empty_like(xs)
+    g_params = []
+    for e, expert in enumerate(experts):
+        lo, hi = bounds[e], bounds[e + 1]
+        if lo == hi:
+            g_params += [None, None, None]
+            continue
+        h_gate = xs[lo:hi] @ expert.gate_proj.data
+        h_up = xs[lo:hi] @ expert.up.data
+        sig = 1.0 / (1.0 + np.exp(-h_gate))
+        act = h_gate * sig
+        gated = act * h_up
+        ys[lo:hi] = gated @ expert.down.data
+        g_gated = g_ys[lo:hi] @ expert.down.data.T
+        g_h_up = g_gated * act
+        g_h_gate = (g_gated * h_up) * (sig * (1.0 + h_gate * (1.0 - sig)))
+        g_xs[lo:hi] = g_h_up @ expert.up.data.T + g_h_gate @ expert.gate_proj.data.T
+        g_params += [xs[lo:hi].T @ g_h_up, xs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
+    y = np.empty_like(ys)
+    y[order] = ys
+    g_w = (g[:, None, :] * y.reshape(n, k, d)).sum(axis=-1)
+    g_logits = np.zeros_like(logits)
+    g_logits[picked] = w * (g_w - (g_w * w).sum(axis=1, keepdims=True))
+    g_slots = np.empty_like(g_xs)
+    g_slots[order] = g_xs
+    return (g_slots.reshape(n, k, d).sum(axis=1), g_logits, *g_params)
+
+
 def masked_softmax_reference(logits: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Softmax over the kept logits of each row and exactly zero elsewhere,
     the oracle for the MoE gate weights: dropped logits count as -inf, and

@@ -1,3 +1,4 @@
+import weakref
 import zlib
 
 import numpy as np
@@ -164,6 +165,39 @@ class TestBackward:
             b = ad.add(a, x)
             loss = sum_(b)
         assert [n.node_id for n in g.nodes] == sorted(n.node_id for n in g.nodes)
+
+
+class TestTapeLifetime:
+    """A tape lives only inside its graph: on exit every node lets go of its
+    parents and its backward closure, and with them the saved activations."""
+
+    def test_exit_releases_parents_closures_and_saved_activations(self):
+        x = t64(np.arange(6.0).reshape(2, 3))
+        with Graph() as g:
+            y = ad.rms_norm(x, t64(np.ones(3)), 1e-6)
+            loss = sum_(mul(y, y))
+            cells = [c.cell_contents for c in y._backward.__closure__]
+            saved = [weakref.ref(a) for a in cells if isinstance(a, np.ndarray)]
+            del cells
+            assert saved and all(ref() is not None for ref in saved)
+            ad.backward(loss)
+        assert len(g.nodes) == 3
+        for node in g.nodes:
+            assert node._parents == ()
+            assert getattr(node._backward, "__closure__", None) is None
+        assert all(ref() is None for ref in saved)
+        assert np.array_equal(g.nodes[0].data, y.data)  # outputs stay readable
+
+    def test_backward_after_exit_raises(self):
+        # a released node must not pass for a leaf and accumulate into its own grad
+        x = t64([1.0, 2.0])
+        with Graph():
+            loss = sum_(mul(x, x))
+        with pytest.raises(RuntimeError, match="outside the graph"):
+            ad.backward(loss)
+        with Graph(), pytest.raises(RuntimeError, match="outside the graph"):
+            ad.backward(loss)
+        assert x.grad is None and loss.grad is None
 
 
 class TestClipGlobalNorm:

@@ -655,6 +655,18 @@ def test_no_usable_sample_exits_2_naming_the_file(trained_run, tmp_path, capsys,
     assert f"error: {overlong}: no usable samples (12 skipped as overlong)" in captured.err
 
 
+def test_train_on_unusable_data_leaves_the_run_directory_as_it_was(trained_run, tmp_path):
+    # train used to rewrite config.resolved and cut metrics.csv to its header
+    # line before it found that no sample fits
+    tiny_config, data, out = trained_run
+    before = {name: (out / name).read_bytes() for name in ("config.resolved", "metrics.csv")}
+    assert len(before["metrics.csv"].splitlines()) > 1
+    overlong = overlong_dataset(tmp_path / "overlong.jsonl", 12)
+    assert run_cli("--config", tiny_config, "--seed", "7", "train", "--data", str(overlong),
+                   "--out-dir", str(out)) == 2
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
 @pytest.mark.parametrize("task_routing", ["true", "false"])
 def test_one_expert_runs_every_command(tmp_path, capsys, task_routing):
     # the dense control: one expert at K = 1, on either training route

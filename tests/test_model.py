@@ -160,17 +160,19 @@ class TestAttention:
         t = 9
 
         def tape(n_layers):
+            """Each node and the arrays its backward closure saved, read
+            before the graph exits and releases the closures."""
             cfg = tiny_config(n_layers=n_layers)
             params = init_params(cfg, seed=24)
             tokens = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(2, t))
             with ad.Graph() as graph:
                 forward(params, cfg, tokens, forced=[0, 1], lengths=np.array([t, 6]))
-            return graph.nodes
+                return [(node, [c.cell_contents for c in node._backward.__closure__ or ()])
+                        for node in graph.nodes]
 
         nodes = tape(3)
-        for node in nodes:
+        for node, cells in nodes:
             assert node.data.shape[0] != 2 * t, node
-            cells = [c.cell_contents for c in node._backward.__closure__ or ()]
             for a in [node.data] + [c for c in cells if isinstance(c, np.ndarray)]:
                 assert a.shape[-2:] != (t, t), node
         # per layer: 2 norms, attention, 2 residual adds and the MoE's gate

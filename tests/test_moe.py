@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moefix import autodiff as ad
+from moefix import moe
 from moefix.autodiff import Graph, Tensor
 from moefix.moe import (
     ExpertParams,
@@ -13,6 +14,7 @@ from moefix.moe import (
 )
 
 from helpers import (
+    dispatch_backward_reference,
     finite_difference_grad,
     gradcheck,
     masked_softmax_reference,
@@ -315,6 +317,50 @@ class TestDispatchGradients:
         assert np.allclose(y_sub.data, y_all.data[rows], rtol=1e-12, atol=1e-14)
         assert np.array_equal(dec_sub.indices, dec_all.indices[rows])
         assert np.array_equal(dec_sub.weights, dec_all.weights[rows])
+
+
+class TestTiledSwigluBackward:
+    """The dispatch backward runs the SwiGLU chain over tiles of rows. With
+    K = E = 2 each expert's block holds every row, so a block can end on a
+    tile boundary or leave a partial last tile."""
+
+    TILE = moe._TILE_ROWS
+
+    @staticmethod
+    def _route(route, x, layer):
+        tasks = np.arange(x.data.shape[0]) % 2
+        if route == "task":
+            return moe_forward_task(x, layer, tasks, k=2)
+        return moe_forward_infer(x, layer, k=2)
+
+    @pytest.mark.parametrize("route", ["infer", "task"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("rows", [TILE, 2 * TILE + 5], ids=["one-tile", "partial-tile"])
+    def test_bitwise_equal_to_the_whole_block_oracle(self, route, dtype, rows):
+        rng = np.random.default_rng(18)
+        layer = make_layer(rng, d=8, d_ff=24, n_experts=2, dtype=dtype)
+        x = Tensor(rng.normal(size=(rows, 8)).astype(dtype), requires_grad=True)
+        g = rng.normal(size=(rows, 8)).astype(dtype)
+        with Graph():
+            y, dec = self._route(route, x, layer)
+            got = y._backward(g)
+            logits = y._parents[1].data
+        assert np.bincount(dec.indices.ravel()).tolist() == [rows, rows]
+        want = dispatch_backward_reference(x.data, layer.experts, logits, dec.indices, g)
+        assert len(got) == len(want) == 2 + 3 * 2  # x, the gate logits, 3 matrices per expert
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("route", ["infer", "task"])
+    def test_gradcheck_across_tiles(self, route):
+        rng = np.random.default_rng(19)
+        rows = 2 * self.TILE + 5
+        layer = make_layer(rng, d=3, d_ff=4, n_experts=2)
+        x = Tensor(rng.normal(size=(rows, 3)), requires_grad=True)
+        proj = Tensor(rng.normal(size=(rows, 3)))
+        params = [x, layer.gate] + [t for ex in layer.experts
+                                    for t in (ex.up, ex.gate_proj, ex.down)]
+        gradcheck(lambda: sum_(mul(self._route(route, x, layer)[0], proj)), params)
 
 
 def fraction(report, task, expert):

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,27 @@ class TestTrainLoop:
         assert losses_a == losses_b
         for (na, ta), (nb, tb) in zip(ckpt_a.named_params(), ckpt_b.named_params()):
             assert np.array_equal(ta.data, tb.data)
+
+    def test_a_step_holds_one_tape(self):
+        # the previous step's tape lived on through the next forward pass, so
+        # steps 2 and 3 peaked 1.3 times as high as step 1. One sample 30
+        # times over gives those steps batches of one shape.
+        ckpt, registry, _ = make_setup(dtype="f32", d_model=32, n_layers=2)
+        ckpt.train_config = TrainConfig(batch_size_tokens=1024, epochs=1)
+        samples = make_dataset(registry, n=1)[:1] * 30
+        peaks = []
+
+        def on_step(row, _):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+
+        tracemalloc.start()
+        try:
+            train(ckpt, samples, on_step=on_step)
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) >= 3
+        assert max(peaks[1:3]) <= 1.1 * peaks[0], peaks
 
     def test_memorization_loss_non_increasing(self):
         ckpt, registry, tok = make_setup(seed=6)
