@@ -163,8 +163,8 @@ def cmd_train(args) -> int:
     from .corpus import Tokenizer, read_dataset
     from .model import ModelConfig
     from .tasks import TaskRegistry
-    from .training import (TrainConfig, load_checkpoint, metrics_header, new_run,
-                           save_checkpoint, train, usable_samples)
+    from .training import (ScheduleMismatch, TrainConfig, load_checkpoint, metrics_header,
+                           new_run, save_checkpoint, train)
 
     cfg = resolve_config(args)
     if args.log_every < 0:
@@ -183,10 +183,6 @@ def cmd_train(args) -> int:
         ckpt = new_run(model_cfg, TrainConfig(**_fields_of(TrainConfig, cfg)), registry,
                        tokenizer, dtype=cfg["precision"])
     samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
-    usable_samples(ckpt, samples)  # refuse unusable data before writing into the run directory
-    os.makedirs(args.out_dir, exist_ok=True)
-    with open(os.path.join(args.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
-        fh.writelines(f"{name} = {value}\n" for name, value in cfg.items())
 
     header = metrics_header(ckpt.config.n_experts)
     metrics_path = os.path.join(args.out_dir, "metrics.csv")
@@ -203,11 +199,25 @@ def cmd_train(args) -> int:
                                       f"{row.strip()!r}") from None
                 if step < ckpt.step:
                     earlier.append(row)
-    metrics_fh = open(metrics_path, "w", encoding="utf-8")
-    metrics_fh.write(",".join(header) + "\n")
-    metrics_fh.writelines(earlier)
+    metrics_fh = None
+
+    def open_run_dir():
+        """Write config.resolved and start metrics.csv with the rows kept.
+        Called once the first step has trained, so a run that fails before
+        then (the data gives no usable sample or another step count than the
+        checkpoint, or the first loss is not finite) leaves the directory as
+        it was."""
+        nonlocal metrics_fh
+        os.makedirs(args.out_dir, exist_ok=True)
+        with open(os.path.join(args.out_dir, "config.resolved"), "w", encoding="utf-8") as fh:
+            fh.writelines(f"{name} = {value}\n" for name, value in cfg.items())
+        metrics_fh = open(metrics_path, "w", encoding="utf-8")
+        metrics_fh.write(",".join(header) + "\n")
+        metrics_fh.writelines(earlier)
 
     def on_step(row, ck):
+        if metrics_fh is None:
+            open_run_dir()
         metrics_fh.write(",".join(repr(row[h]) if isinstance(row[h], float) else str(row[h])
                                   for h in header) + "\n")
         if args.log_every and row["step"] % args.log_every == 0:
@@ -218,8 +228,13 @@ def cmd_train(args) -> int:
 
     try:
         result = train(ckpt, samples, on_step=on_step)
+        if metrics_fh is None:  # a resumed run with no step left
+            open_run_dir()
+    except ScheduleMismatch as exc:
+        raise ConfigError(f"{exc} (checkpoint {args.resume}, dataset {args.data})") from None
     finally:
-        metrics_fh.close()
+        if metrics_fh is not None:
+            metrics_fh.close()
     save_checkpoint(ckpt, os.path.join(args.out_dir, "model.ck"))
     if result.skipped_overlong:
         print(f"skipped {result.skipped_overlong} overlong samples")

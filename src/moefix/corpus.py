@@ -10,6 +10,7 @@ Every sample is reproducible in isolation from its derived seed.
 from __future__ import annotations
 
 import json
+import string
 from dataclasses import dataclass
 from importlib import resources
 
@@ -20,6 +21,14 @@ from .tasks import TaskId, TaskRegistry
 ALPHABET = " abcdefghijklmnopqrstuvwxyzI0123456789.,'?!-:<>"
 
 BASE_SPECIALS = ("<pad>", "<eos>", "<hyp>", "<out>")
+
+_PUNCT = str.maketrans("", "", string.punctuation)
+
+
+def normalize_words(text: str) -> list[str]:
+    """The words WER and BLEU score: lowercase, ASCII punctuation stripped,
+    split on whitespace."""
+    return text.lower().translate(_PUNCT).split()
 
 
 class Tokenizer:
@@ -334,7 +343,8 @@ def write_dataset(path, samples) -> None:
 def read_dataset(path, registry: TaskRegistry, alphabet: str) -> list[CorrectionSample]:
     """The samples of a file written by ``write_dataset``. A malformed record
     (a field of the wrong JSON type included: hypotheses must be a non-empty
-    list of strings, target a string, seed an integer), or a hypothesis or
+    list of strings, target a string with at least one word as
+    ``normalize_words`` splits it, seed an integer), or a hypothesis or
     target with a character outside ``alphabet`` (the tokenizer's), is an
     error that names the file and line."""
     samples = []
@@ -349,6 +359,8 @@ def read_dataset(path, registry: TaskRegistry, alphabet: str) -> list[Correction
                     raise TypeError(f"hypotheses must be a list of strings, got {hypotheses!r}")
                 if not isinstance(target, str):
                     raise TypeError(f"target must be a string, got {target!r}")
+                if not normalize_words(target):  # WER has no reference words to score
+                    raise ValueError(f"target has no words: {target!r}")
                 if type(seed) is not int:  # a JSON integer, not a float, string or bool
                     raise TypeError(f"seed must be an integer, got {seed!r}")
                 sample = CorrectionSample(task=registry.get(rec["task"]),

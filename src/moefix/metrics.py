@@ -1,22 +1,14 @@
 """Word error rate, corpus BLEU, and corrector-vs-baseline evaluation."""
 from __future__ import annotations
 
-import string
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import normalize_words
 from .model import generate
 from .tasks import format_prompt, parse_output
-
-_PUNCT = str.maketrans("", "", string.punctuation)
-
-
-def normalize_words(text: str) -> list[str]:
-    """Lowercase, strip ASCII punctuation, collapse whitespace."""
-    return text.lower().translate(_PUNCT).split()
-
 
 @dataclass
 class WerBreakdown:

@@ -252,13 +252,13 @@ def causal_attention(
     """Multi-head attention with rotary Q/K and a strict causal mask, from the
     normed ``x`` through the output projection, as one graph node.
 
-    ``x`` [n, d] holds the real rows of B sequences back to back, laid out by
+    ``x`` [n, d] holds the rows of B sequences back to back, laid out by
     ``rows`` (see ``row_layout``). The q/k/v and output projections run on
     the n rows only, and each sequence attends within itself. Each block of
     ``_BLOCK`` query rows scores only the sequences longer than its start
-    against the keys up to its last position. A real query never sees a
-    position past its own, so the pad tail of a shorter sequence needs no key
-    mask: it holds zeros, and its outputs are never read.
+    against the keys up to its last position. A query never sees a position
+    past its own, so the heads of a shorter sequence past its end need no
+    key mask: they hold zeros, and their outputs are never read.
 
     In a graph, the node saves q, k (also transposed), v, the head outputs
     and each row's logsumexp, never the probabilities: the backward pass
@@ -413,36 +413,32 @@ def forward(
 ) -> tuple[Tensor, list[RoutingDecision]]:
     """Next-token logits plus one RoutingDecision per layer.
 
-    ``tokens`` is [T] or [B, T] integer ids. ``forced`` (an expert id, or one
-    per sequence) drives the task-forced training route; without it routing
-    is plain top-K. Both routes select K = ``top_k`` or the config's. With a ``cache``
-    (inference, one sequence), ``tokens`` continue the cached prefix, whose
-    keys and values they attend to, and the cache grows by T positions.
+    ``tokens`` [n] holds the ids of sequences back to back, ``lengths`` their
+    row counts (None: one sequence); each sequence attends within itself.
+    ``forced`` (an expert id, or one per sequence) drives the task-forced
+    training route; without it routing is plain top-K. Both routes select
+    K = ``top_k`` or the config's. With a ``cache`` (inference, one
+    sequence), ``tokens`` continue the cached prefix, whose keys and values
+    they attend to, and the cache grows by n positions.
 
-    ``lengths`` (one per sequence; None: all T) marks the first positions of
-    each row as real and the rest as right padding. Only the n real positions
-    are computed, as flat rows [n, d] in row-major order: pads are never
-    embedded, attended to or routed, and each decision has one row per real
-    position. The logits are [n, vocab], one row per real position: [T,
-    vocab] for one unpadded sequence. ``logit_rows`` (indices into the n
-    rows) runs the last layer's MoE, the final norm and the LM head on those
-    rows only, so the logits and the last decision have one row per index.
+    The logits are [n, vocab] and each decision has one row per token.
+    ``logit_rows`` (indices into the n rows) runs the last layer's MoE, the
+    final norm and the LM head on those rows only, so the logits and the last
+    decision have one row per index.
     """
     tokens = np.asarray(tokens)
-    ids = tokens[None, :] if tokens.ndim == 1 else tokens
-    b, t = ids.shape
-    if cache is not None and (b != 1 or lengths is not None):
-        raise ValueError("the KV cache path takes one unpadded sequence")
-    if lengths is None:
-        lengths, real = np.full(b, t), ids.ravel()
-    else:
-        lengths = np.asarray(lengths).reshape(b)
-        real = ids[np.arange(t)[None, :] < lengths[:, None]]
-    rows = row_layout(config, lengths, params.embedding.dtype) if cache is None else cache.layout(t)
+    n = len(tokens)
+    if cache is not None and lengths is not None:
+        raise ValueError("the KV cache path takes one sequence, without lengths")
+    lengths = np.array([n]) if lengths is None else np.asarray(lengths)
+    if tokens.ndim != 1 or lengths.sum() != n:
+        raise ValueError(f"lengths summing to {lengths.sum()} do not pack tokens of shape "
+                         f"{tokens.shape}")
+    rows = row_layout(config, lengths, params.embedding.dtype) if cache is None else cache.layout(n)
 
-    x = ad.take(params.embedding, real)
-    if forced is not None:  # one id per real row
-        forced = np.repeat(np.broadcast_to(np.asarray(forced, dtype=np.int64), (b,)), lengths)
+    x = ad.take(params.embedding, tokens)
+    if forced is not None:  # one id per row
+        forced = np.repeat(np.broadcast_to(np.asarray(forced, dtype=np.int64), len(lengths)), lengths)
     last = len(params.layers) - 1
     decisions: list[RoutingDecision] = []
     for i, layer in enumerate(params.layers):
@@ -462,7 +458,7 @@ def forward(
     x = ad.rms_norm(x, params.final_norm, config.rms_eps)
     logits = ad.matmul_nt(x, params.embedding)
     if cache is not None:
-        cache.length += t
+        cache.length += n
     return logits, decisions
 
 

@@ -43,7 +43,7 @@ class MoeLayerParams:
 class RoutingDecision:
     """Per-token selection record: expert ids, their normalized weights, and
     the forced expert id when the task route was applied (None in inference).
-    There is one row per routed token, so pad positions have none."""
+    There is one row per routed token."""
 
     indices: np.ndarray   # [n, K] int
     weights: np.ndarray   # [n, K] float, each row sums to 1

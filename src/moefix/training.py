@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import os
 import platform
 import struct
@@ -30,6 +31,10 @@ class NumericalError(RuntimeError):
 
 class CheckpointError(ValueError):
     """Checkpoint file is missing, malformed, or version-incompatible."""
+
+
+class ScheduleMismatch(ValueError):
+    """A resumed run's dataset gives another step count than its checkpoint's."""
 
 
 class NoUsableSamples(ValueError):
@@ -171,21 +176,14 @@ def build_schedule(lengths, epochs: int, batch_size_tokens: int, seed: int) -> l
 
 
 def make_batch_arrays(batch: list[EncodedSample], pad_id: int):
-    """Right-pad to the longest sequence; targets are the next-token shift and
-    the loss mask marks positions whose *target* is a target-span token.
-
-    Returns (ids, targets, mask, task_experts, lengths), lengths being each
-    row's real token count."""
-    b = len(batch)
-    t = max(len(s.ids) for s in batch)
-    ids = np.full((b, t), pad_id, dtype=np.int64)
-    targets = np.full((b, t), pad_id, dtype=np.int64)
-    mask = np.zeros((b, t), dtype=bool)
-    for i, s in enumerate(batch):
-        n = len(s.ids)
-        ids[i, :n] = s.ids
-        targets[i, :n - 1] = s.ids[1:]
-        mask[i, :n - 1] = s.mask[1:]
+    """The batch's sequences back to back. Returns (ids, targets, mask,
+    task_experts, lengths): ids [n]; targets [n], each row's next id in its
+    own sequence (``pad_id`` after a sequence's last id); the loss mask [n],
+    true where the *target* is a target-span token; then each sequence's task
+    expert and length."""
+    ids = np.concatenate([s.ids for s in batch])
+    targets = np.concatenate([np.append(s.ids[1:], pad_id) for s in batch])
+    mask = np.concatenate([np.append(s.mask[1:], False) for s in batch])
     task_experts = np.array([s.task_expert for s in batch], dtype=np.int64)
     lengths = np.array([len(s.ids) for s in batch], dtype=np.int64)
     return ids, targets, mask, task_experts, lengths
@@ -195,18 +193,16 @@ def nll_loss(params: TransformerParams, config: ModelConfig, batch_arrays,
              task_routing: bool = True):
     """Mean NLL over target tokens; task-forced routing unless ablated.
 
-    The forward pass runs on the real tokens only, and its last layer's MoE,
-    the final norm and the LM head on the loss rows only: each
-    RoutingDecision has one row per real token, the last one per loss row.
+    The forward pass runs on the batch's packed rows, and its last layer's
+    MoE, the final norm and the LM head on the loss rows only: each
+    RoutingDecision has one row per token, the last one per loss row.
     Returns (loss Tensor, per-layer RoutingDecisions).
     """
     ids, targets, mask, task_experts, lengths = batch_arrays
     if ids.shape[0] == 0:
         raise ValueError("empty batch")
-    real = np.arange(ids.shape[1])[None, :] < lengths[:, None]
-    loss_rows = np.flatnonzero(mask[real])  # the mask marks real positions only
     logits, decisions = forward(params, config, ids, forced=task_experts if task_routing else None,
-                                lengths=lengths, logit_rows=loss_rows)
+                                lengths=lengths, logit_rows=np.flatnonzero(mask))
     return ad.cross_entropy(logits, targets[mask]), decisions
 
 
@@ -271,22 +267,29 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
 
 
 def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if len(data) != n:
-        raise CheckpointError(f"truncated checkpoint: wanted {n} bytes, got {len(data)}")
-    return data
+    """The next ``n`` bytes of the checkpoint ``fh``. A size past the end of
+    the file is a CheckpointError naming it, raised before anything is
+    allocated, so a corrupt size field cannot ask for more memory than the
+    file holds."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise CheckpointError(f"{fh.name}: truncated checkpoint: wanted {n} bytes, {left} left")
+    return fh.read(n)
 
 
 def _read_tensor(fh) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-    name = _read_exact(fh, name_len).decode("utf-8")
+    try:
+        name = _read_exact(fh, name_len).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{fh.name}: malformed tensor name: {exc}") from None
     tag, rank = struct.unpack("<BI", _read_exact(fh, 5))
     if tag not in _TAG_DTYPES:
-        raise CheckpointError(f"unknown dtype tag {tag} for tensor {name!r}")
-    shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank)) if rank else ()
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        raise CheckpointError(f"{fh.name}: unknown dtype tag {tag} for tensor {name!r}")
+    shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank))
     dtype = _TAG_DTYPES[tag]
-    data = np.frombuffer(_read_exact(fh, count * dtype.itemsize), dtype=dtype)
+    # Python ints: a product of corrupt dimensions cannot wrap to a small size
+    data = np.frombuffer(_read_exact(fh, math.prod(shape) * dtype.itemsize), dtype=dtype)
     return name, data.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
 
 
@@ -480,7 +483,8 @@ def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
                               cfg.batch_size_tokens, cfg.seed)
     total_steps = len(schedule)
     if ckpt.total_steps and ckpt.total_steps != total_steps:
-        raise ValueError(f"checkpoint expects {ckpt.total_steps} total steps, dataset gives {total_steps}")
+        raise ScheduleMismatch(f"checkpoint expects {ckpt.total_steps} total steps, "
+                               f"dataset gives {total_steps}")
     ckpt.total_steps = total_steps
     named = ckpt.named_params()
     all_params = [t for _, t in named]

@@ -158,18 +158,19 @@ def attention_reference(x: np.ndarray, layer, config) -> np.ndarray:
 
 
 def nll_reference(params, config, batch_arrays, task_routing: bool = True) -> ad.Tensor:
-    """Per-sample unpadded oracle for ``training.nll_loss``: each sample runs
-    alone through the whole forward pass, every position to the LM head, and
-    the loss is the mean NLL of its loss rows weighted by its share of the
-    loss tokens."""
+    """Per-sample oracle for ``training.nll_loss``: each sample runs alone
+    through the whole forward pass, every position to the LM head, and the
+    loss is the mean NLL of its loss rows weighted by its share of the loss
+    tokens."""
     ids, targets, mask, task_experts, lengths = batch_arrays
     total = None
-    for i, n in enumerate(lengths):
+    for i, end in enumerate(np.cumsum(lengths)):
+        seq = slice(end - lengths[i], end)
         forced = int(task_experts[i]) if task_routing else None
-        logits, _ = model.forward(params, config, ids[i, :n], forced=forced, top_k=2)
-        rows = np.flatnonzero(mask[i, :n])
-        nll = ad.cross_entropy(ad.take(logits, rows), targets[i, rows])
-        share = ad.Tensor(np.asarray(mask[i].sum() / mask.sum(), dtype=logits.dtype))
+        logits, _ = model.forward(params, config, ids[seq], forced=forced, top_k=2)
+        rows = np.flatnonzero(mask[seq])
+        nll = ad.cross_entropy(ad.take(logits, rows), targets[seq][rows])
+        share = ad.Tensor(np.asarray(mask[seq].sum() / mask.sum(), dtype=logits.dtype))
         total = mul(nll, share) if total is None else ad.add(total, mul(nll, share))
     return total
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -332,6 +333,41 @@ class TestTrain:
         assert code == 2
         assert f"{bad}: header key 'step' must be in [0, total_steps" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_failed_resume_leaves_the_run_directory_as_it_was(self, tiny_config, tmp_path,
+                                                              capsys):
+        # a resume whose data gave another step count cut metrics.csv to the
+        # rows before the checkpoint's step, then failed naming neither file
+        data = tmp_path / "data.jsonl"
+        run_cli("--config", tiny_config, "gen-data", "--out", str(data))
+        cfg = tmp_path / "every.cfg"
+        cfg.write_text(TINY + "checkpoint_interval = 1\n")
+        out = tmp_path / "run"
+        assert run_cli("--config", str(cfg), "train", "--data", str(data),
+                       "--out-dir", str(out)) == 0
+        total = tr.load_checkpoint(out / "model.ck").total_steps
+        short = tmp_path / "short.jsonl"
+        short.write_text(data.read_text().splitlines(keepends=True)[0])  # 1 step an epoch
+        before = {name: (out / name).read_bytes() for name in ("config.resolved", "metrics.csv")}
+        assert len(before["metrics.csv"].splitlines()) == total + 1 > 3
+        ck = out / "checkpoint_000002.ck"
+        capsys.readouterr()
+        code = run_cli("--config", str(cfg), "train", "--data", str(short), "--out-dir", str(out),
+                       "--resume", str(ck))
+        assert code == 2
+        assert (f"error: checkpoint expects {total} total steps, dataset gives 2 "
+                f"(checkpoint {ck}, dataset {short})") in capsys.readouterr().err
+        assert {name: (out / name).read_bytes() for name in before} == before
+
+    def test_resume_with_no_step_left_saves_the_checkpoint(self, trained_run, tmp_path):
+        tiny_config, data, out = trained_run
+        resumed = tmp_path / "resumed"
+        assert run_cli("--config", tiny_config, "train", "--data", str(data),
+                       "--out-dir", str(resumed), "--resume", str(out / "model.ck")) == 0
+        assert (resumed / "model.ck").read_bytes() == (out / "model.ck").read_bytes()
+        assert (resumed / "config.resolved").read_text() == (out / "config.resolved").read_text()
+        header = (out / "metrics.csv").read_text().splitlines()[0]
+        assert (resumed / "metrics.csv").read_text().splitlines() == [header]
 
     def test_run_artifacts(self, trained_run):
         tiny_config, data, out = trained_run
@@ -665,6 +701,88 @@ def test_train_on_unusable_data_leaves_the_run_directory_as_it_was(trained_run, 
     assert run_cli("--config", tiny_config, "--seed", "7", "train", "--data", str(overlong),
                    "--out-dir", str(out)) == 2
     assert {name: (out / name).read_bytes() for name in before} == before
+
+
+def test_train_with_a_non_finite_first_loss_leaves_the_run_directory_as_it_was(
+        trained_run, monkeypatch):
+    tiny_config, data, out = trained_run
+    before = {name: (out / name).read_bytes() for name in ("config.resolved", "metrics.csv")}
+    real = tr.nll_loss
+
+    def nan_loss(*args, **kwargs):
+        loss, decisions = real(*args, **kwargs)
+        loss.data[...] = np.nan
+        return loss, decisions
+
+    monkeypatch.setattr(tr, "nll_loss", nan_loss)
+    assert run_cli("--config", tiny_config, "--seed", "7", "train", "--data", str(data),
+                   "--out-dir", str(out)) == 3
+    assert {name: (out / name).read_bytes() for name in before} == before
+
+
+@pytest.mark.parametrize("field,message", [("dimension", "truncated checkpoint: wanted "),
+                                           ("rank", "truncated checkpoint: wanted "),
+                                           ("name", "malformed tensor name: ")])
+def test_a_corrupt_tensor_field_exits_2_naming_the_file(trained_run, tmp_path, capsys, field,
+                                                        message):
+    # a first dimension of 2^40 had the reader allocate the size the file
+    # declared and die with a MemoryError traceback; a rank of 0xFFFFFFF0 did
+    # the same under an address-space limit; a name that is not UTF-8 gave a
+    # codec error naming no file
+    tiny_config, data, out = trained_run
+    raw = bytearray((out / "model.ck").read_bytes())
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    (name_len,) = struct.unpack_from("<I", raw, 12 + header_len)
+    rank_at = 12 + header_len + 4 + name_len + 1  # past the name and the dtype tag
+    if field == "rank":
+        struct.pack_into("<I", raw, rank_at, 0xFFFFFFF0)
+    elif field == "dimension":
+        struct.pack_into("<Q", raw, rank_at + 4, 2 ** 40)
+    else:
+        raw[12 + header_len + 4] = 0xFF
+    bad = tmp_path / "bad.ck"
+    bad.write_bytes(bytes(raw))
+    capsys.readouterr()
+    assert run_cli("eval", "--checkpoint", str(bad), "--data", str(data)) == 2
+    assert f"error: {bad}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_a_target_with_no_words_exits_2_naming_file_and_line(trained_run, tmp_path, capsys,
+                                                             command):
+    # eval decoded the records before it, then failed in WER naming no file
+    tiny_config, data, out = trained_run
+    lines = data.read_text().splitlines()
+    record = json.loads(lines[2])
+    record["target"] = "!!!"
+    lines[2] = json.dumps(record)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    args = {"train": ["--config", tiny_config, "train", "--out-dir", str(tmp_path / "o")],
+            "eval": ["eval", "--checkpoint", str(out / "model.ck")]}[command]
+    capsys.readouterr()
+    assert run_cli(*args, "--data", str(bad)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"error: {bad}: malformed dataset record on line 3: target has no words: '!!!'"
+            in captured.err)
+    assert not (tmp_path / "o").exists()
+
+
+def test_readme_config_block_is_the_schema(tmp_path):
+    # the ini block under "## Config file" lists every key, in config.resolved
+    # order, at its default: a new key or a changed default fails here until
+    # the README follows
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        section = fh.read().split("\n## Config file\n", 1)[1]
+    path = tmp_path / "readme.cfg"
+    path.write_text(section.split("```ini\n", 1)[1].split("```", 1)[0])
+    parsed = parse_config_file(str(path))
+    schema = cli._schema()
+    assert list(parsed) == [name for name, _, _ in schema]
+    assert parsed == {name: default for name, _, default in schema}
+    assert all(type(parsed[name]) is typ for name, typ, _ in schema)
 
 
 @pytest.mark.parametrize("task_routing", ["true", "false"])

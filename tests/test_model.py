@@ -111,7 +111,7 @@ class TestAttention:
         tokens = rng.integers(1, cfg.vocab_size, size=(3, 10))
         lengths = np.array([7, 10, 3])  # not sorted: the node sorts them
         real = np.arange(10) < lengths[:, None]
-        tokens[~real] = 0  # right padding, as make_batch_arrays lays it out
+        tokens[~real] = 0  # right padding, for the dense reference
         layer = params.layers[0]
         x = ad.rms_norm(ad.take(params.embedding, tokens), layer.attn_norm, cfg.rms_eps)
         got = causal_attention(Tensor(x.data[real]), layer, cfg,
@@ -164,7 +164,7 @@ class TestAttention:
             before the graph exits and releases the closures."""
             cfg = tiny_config(n_layers=n_layers)
             params = init_params(cfg, seed=24)
-            tokens = np.random.default_rng(5).integers(0, cfg.vocab_size, size=(2, t))
+            tokens = np.random.default_rng(5).integers(0, cfg.vocab_size, size=t + 6)
             with ad.Graph() as graph:
                 forward(params, cfg, tokens, forced=[0, 1], lengths=np.array([t, 6]))
                 return [(node, [c.cell_contents for c in node._backward.__closure__ or ()])
@@ -215,11 +215,22 @@ class TestForward:
             assert len(decisions) == cfg.n_layers
             assert all(d.indices.shape[0] == t for d in decisions)
 
+    def test_rejects_lengths_that_do_not_pack_the_tokens(self):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=16)
+        tokens = np.zeros(9, dtype=np.int64)
+        with pytest.raises(ValueError, match="lengths summing to 8 do not pack"):
+            forward(params, cfg, tokens, lengths=np.array([5, 3]))
+        with pytest.raises(ValueError, match=r"tokens of shape \(1, 9\)"):
+            forward(params, cfg, tokens[None])  # a [B, T] grid is not packed rows
+        with pytest.raises(ValueError, match="without lengths"):
+            forward(params, cfg, tokens, cache=KVCache(params, cfg), lengths=np.array([9]))
+
     def test_train_mode_marks_forced_expert(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=13)
-        tokens = np.zeros((2, 6), dtype=np.int64)
-        _, decisions = forward(params, cfg, tokens, forced=[1, 2])
+        tokens = np.zeros(12, dtype=np.int64)
+        _, decisions = forward(params, cfg, tokens, forced=[1, 2], lengths=np.array([6, 6]))
         for d in decisions:
             assert d.task_forced is not None
             forced = d.task_forced.reshape(2, 6)
@@ -231,8 +242,7 @@ class TestForward:
         params = init_params(cfg, seed=15, dtype="f64")
         rng = np.random.default_rng(4)
         long, short = rng.integers(0, cfg.vocab_size, size=9), rng.integers(0, cfg.vocab_size, size=5)
-        tokens = np.zeros((2, 9), dtype=np.int64)
-        tokens[0], tokens[1, :5] = long, short
+        tokens = np.concatenate([long, short])  # packed, as make_batch_arrays lays them out
         seen = []  # (route, routed rows, decision) of each MoE call
 
         def spying(name):

@@ -187,13 +187,20 @@ class TestBatching:
         s = encoded[0]
         ids, targets, mask, experts, lengths = make_batch_arrays([s], tok.pad_id)
         n = len(s.ids)
-        assert np.array_equal(ids[0, :n], s.ids)
-        assert np.array_equal(targets[0, :n - 1], s.ids[1:])
-        assert np.array_equal(mask[0, :n - 1], s.mask[1:])
-        assert not mask[0, n - 1:].any()
-        assert mask[0].sum() == s.mask.sum()  # EOS target included, nothing lost
+        assert np.array_equal(ids, s.ids)
+        assert np.array_equal(targets[:n - 1], s.ids[1:])
+        assert np.array_equal(mask[:n - 1], s.mask[1:])
+        assert not mask[n - 1:].any()
+        assert mask.sum() == s.mask.sum()  # EOS target included, nothing lost
         assert experts.tolist() == [s.task_expert]
         assert lengths.tolist() == [n]
+        # packed back to back, each sequence's last row targets the pad id, not
+        # the next sequence's first id
+        two = make_batch_arrays([s, s], tok.pad_id)
+        assert np.array_equal(two[0], np.tile(ids, 2))
+        assert targets[n - 1] == tok.pad_id
+        assert np.array_equal(two[1], np.tile(targets, 2))
+        assert np.array_equal(two[2], np.tile(mask, 2))
 
 
 class TestNllLoss:
@@ -207,9 +214,9 @@ class TestNllLoss:
                           n_experts=4, max_seq_len=128)
         run = new_run(cfg, TrainConfig(seed=3), registry, tok64)
         rng = np.random.default_rng(0)
-        ids = rng.integers(7, 64, size=(4, 24))
-        targets = rng.integers(7, 64, size=(4, 24))
-        mask = np.ones((4, 24), dtype=bool)
+        ids = rng.integers(7, 64, size=4 * 24)
+        targets = rng.integers(7, 64, size=4 * 24)
+        mask = np.ones(4 * 24, dtype=bool)
         with Graph():
             loss, _ = nll_loss(run.params, cfg, (ids, targets, mask, np.zeros(4, dtype=np.int64),
                                                  np.full(4, 24)))
@@ -223,11 +230,10 @@ class TestNllLoss:
         ids, targets = arrays[0], arrays[1]
 
         def perfect_forward(params, config, tokens, lengths, logit_rows, **kwargs):
-            logits = np.full(tokens.shape + (config.vocab_size,), -1e4)
-            b, t = tokens.shape
-            logits[np.arange(b)[:, None], np.arange(t)[None, :], targets] = 1e4
-            real = np.arange(t)[None, :] < lengths[:, None]
-            return Tensor(logits[real][logit_rows]), []
+            assert lengths.sum() == len(tokens)
+            logits = np.full((len(tokens), config.vocab_size), -1e4)
+            logits[np.arange(len(tokens)), targets] = 1e4
+            return Tensor(logits[logit_rows]), []
 
         monkeypatch.setattr(tr, "forward", perfect_forward)
         loss, _ = nll_loss(ckpt.params, ckpt.config, arrays)
@@ -247,8 +253,8 @@ class TestNllLoss:
 
     def test_empty_batch_rejected(self):
         ckpt, registry, tok = make_setup()
-        empty = (np.zeros((0, 4), dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
-                 np.zeros((0, 4), dtype=bool), np.zeros(0, dtype=np.int64),
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                 np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64),
                  np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="empty batch"):
             nll_loss(ckpt.params, ckpt.config, empty)
@@ -260,8 +266,8 @@ class TestNllLoss:
         encoded, _ = encode_samples(samples, tok, ckpt.expert_map, 192)
         arrays = make_batch_arrays(encoded, tok.pad_id)
         ids, lengths = arrays[0], arrays[4]
-        assert (ids == tok.pad_id).any()  # the batch is padded
-        assert lengths.sum() == (ids != tok.pad_id).sum()
+        assert len(set(lengths.tolist())) > 1  # ragged: a [B, T] grid would pad
+        assert lengths.sum() == len(ids) == (ids != tok.pad_id).sum()
         with Graph():
             _, decisions = nll_loss(ckpt.params, ckpt.config, arrays, task_routing=task_routing)
         # the last layer's MoE runs on the loss rows only
