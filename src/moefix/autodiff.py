@@ -224,6 +224,26 @@ def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data @ b.data.T, (a, b), bwd)
 
 
+def rms_norm_forward(x: np.ndarray, weight: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """``rms_norm`` on arrays: the normed rows and each row's scale
+    1 / rms, [..., 1], which is all ``rms_norm_backward`` needs besides x."""
+    r = 1.0 / np.sqrt(np.square(x).sum(axis=-1, keepdims=True) / x.shape[-1] + eps)
+    return x * r * weight, r
+
+
+def rms_norm_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
+                      r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients of x and weight of ``rms_norm_forward`` at output gradient
+    ``g``, from x and the scale ``r`` it returned."""
+    d = x.shape[-1]
+    gw_term = g * weight
+    # d/dx of x_i * r(x): r * g_i - x_i * r^3 * sum_j(g_j w_j x_j) / d
+    s = (gw_term * x).sum(axis=-1, keepdims=True)
+    gx = r * gw_term - x * (r**3) * (s / d)
+    gw = (g * x * r).reshape(-1, d).sum(axis=0)
+    return gx, gw
+
+
 def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
     """Root-mean-square normalization over the last axis with a learned scale."""
     d = x.data.shape[-1]
@@ -231,18 +251,8 @@ def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
         raise ShapeError(f"rms_norm weight shape {weight.data.shape} != ({d},)")
     if eps <= 0:
         raise ValueError(f"rms_norm eps must be positive, got {eps}")
-    r = 1.0 / np.sqrt(np.square(x.data).sum(axis=-1, keepdims=True) / d + eps)
-    out = x.data * r * weight.data
-
-    def bwd(g):
-        gw_term = g * weight.data
-        # d/dx of x_i * r(x): r * g_i - x_i * r^3 * sum_j(g_j w_j x_j) / d
-        s = (gw_term * x.data).sum(axis=-1, keepdims=True)
-        gx = r * gw_term - x.data * (r**3) * (s / d)
-        gw = (g * x.data * r).reshape(-1, d).sum(axis=0)
-        return gx, gw
-
-    return _node(out, (x, weight), bwd)
+    out, r = rms_norm_forward(x.data, weight.data, eps)
+    return _node(out, (x, weight), lambda g: rms_norm_backward(g, x.data, weight.data, r))
 
 
 def take(x: Tensor, idx: np.ndarray) -> Tensor:

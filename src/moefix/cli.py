@@ -245,12 +245,24 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_report_path(path: str) -> None:
+    """Raise ConfigError naming ``path`` unless a report file can be written
+    there. It opens nothing, so no file is created or truncated before the
+    report is ready."""
+    folder = os.path.dirname(path) or "."
+    target = path if os.path.exists(path) else folder
+    if os.path.isdir(path) or not os.path.isdir(folder) or not os.access(target, os.W_OK):
+        raise ConfigError(f"cannot write the CSV report to {path}")
+
+
 def cmd_eval(args) -> int:
     from .corpus import read_dataset
     from .metrics import correct_hypotheses, decode_budget, evaluate
     from .tasks import format_prompt
     from .training import NoUsableSamples, load_checkpoint
 
+    if args.csv:
+        _check_report_path(args.csv)
     ckpt = load_checkpoint(args.checkpoint)
     samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
     # a prompt that fills max_seq_len leaves no room to decode: skipped and
@@ -294,6 +306,8 @@ def cmd_route_stats(args) -> int:
     from .corpus import read_dataset
     from .training import load_checkpoint, route_stats_over
 
+    if args.csv:
+        _check_report_path(args.csv)
     ckpt = load_checkpoint(args.checkpoint)
     samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
     report, skipped = route_stats_over(ckpt, samples)

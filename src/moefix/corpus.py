@@ -383,11 +383,26 @@ def check_alphabet(where: str, texts, alphabet: str) -> None:
 # --- source texts -----------------------------------------------------------
 
 def load_sentence_pool(path=None, limit: int | None = None) -> list[str]:
-    """Bundled public-domain-style sentence list, or a caller-provided file."""
+    """Bundled public-domain-style sentence list, or a caller-provided file:
+    its first ``limit`` non-blank lines (all without a limit), stripped.
+
+    A kept line with no word as ``normalize_words`` splits it, or with a
+    character outside the tokenizer's ``ALPHABET``, would make records that
+    ``read_dataset`` rejects; either is an error that names the file and
+    line, as is a file with no line."""
     if path is None:
+        where = "moefix/data/sentences.txt"
         text = resources.files("moefix").joinpath("data/sentences.txt").read_text("utf-8")
     else:
+        where = path
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    pool = [line.strip() for line in text.splitlines() if line.strip()]
-    return pool[:limit] if limit else pool
+    pool = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)
+            if line.strip()][:limit or None]
+    if not pool:
+        raise ValueError(f"{where}: empty source text pool")
+    for lineno, line in pool:
+        if not normalize_words(line):
+            raise ValueError(f"{where}: line {lineno}: sentence has no words: {line!r}")
+        check_alphabet(f"{where}: line {lineno}", [line], ALPHABET)
+    return [line for _, line in pool]

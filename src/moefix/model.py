@@ -167,7 +167,6 @@ def rope_tables(config: ModelConfig, positions: np.ndarray, dtype) -> tuple[np.n
 # Query rows per attention block. It bounds the scores held at once to
 # [B, H, 64, keys], and it lets each block skip the keys past its last row.
 _BLOCK = 64
-_FUTURE = np.triu(np.ones((_BLOCK, _BLOCK), dtype=bool), 1)  # key after query, in one block
 
 
 @dataclass
@@ -228,17 +227,54 @@ def _fused_projection(layer: LayerParams, config: ModelConfig) -> np.ndarray:
     return np.concatenate([layer.wq.data[:, cols], layer.wk.data[:, cols], layer.wv.data], axis=1)
 
 
-def _block_scores(q: np.ndarray, k_t: np.ndarray, lo: int, start: int) -> np.ndarray:
-    """Scores [rows, H, r, start + lo + r] of the r query rows of a block that
-    begins at position ``start + lo``, against the keys up to its last row;
-    ``k_t`` holds the keys transposed, [rows, H, hd, keys]. Every key before
-    the block is visible to every row; in the diagonal sub-block, keys after
-    their query get -inf."""
-    r = q.shape[2]
-    s = q @ k_t[..., :start + lo + r]
-    if r > 1:
-        np.copyto(s[..., start + lo:], -np.inf, where=_FUTURE[:r, :r])
+def _block_scores(q: np.ndarray, k_t: np.ndarray, qpos: np.ndarray, n_keys: int) -> np.ndarray:
+    """Scores [rows, H, r, n_keys] of a block of r query rows at positions
+    ``qpos`` (broadcast to [rows, 1, r, 1]) against the first ``n_keys`` keys;
+    ``k_t`` holds the keys transposed, [rows, H, hd, keys]. The keys up to
+    the block's lowest position are visible to every row; past it, a key
+    after its query's position gets -inf."""
+    s = q @ k_t[..., :n_keys]
+    low = int(qpos.min()) + 1
+    if low < n_keys:
+        np.copyto(s[..., low:], -np.inf, where=np.arange(low, n_keys) > qpos)
     return s
+
+
+def _query_blocks(rows: RowLayout, queries: np.ndarray | None):
+    """Where the query rows sit in the [B, H, tq, hd] query heads, and the
+    blocks of ``_BLOCK`` query slots that attention runs.
+
+    Returns (slot, index) of each query row in the heads, tq, and per block
+    (lo, hi, live, qpos, n_keys): its slots lo:hi of the first ``live``
+    sequences, their positions, and the keys the block reads. Without
+    ``queries`` every row is a query, at its own position in the heads.
+    With them (sorted row indices), a sequence's queries fill its slots in
+    order; an empty slot gets position t, so it masks no key and its
+    scores stay finite, and it is never read.
+    """
+    b, t = rows.shape
+    if queries is None:
+        plan = []
+        for block, lo in enumerate(range(0, t, _BLOCK)):
+            hi = min(lo + _BLOCK, t)
+            plan.append((lo, hi, rows.longer[block], rows.start + np.arange(lo, hi)[:, None],
+                         rows.start + hi))
+        return rows.seq, rows.pos, t, plan
+    slot, pos = rows.seq[queries], rows.pos[queries]
+    m = len(queries)
+    first = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])  # a sequence's first query
+    index = np.arange(m) - np.repeat(first, np.diff(np.r_[first, m]))
+    counts = np.bincount(slot, minlength=b)
+    tq = int(counts.max())
+    grid = np.full((b, tq), t, dtype=np.int64)
+    grid[slot, index] = pos
+    plan = []
+    for lo in range(0, tq, _BLOCK):
+        hi = min(lo + _BLOCK, tq)
+        live = np.flatnonzero(counts > lo)[-1] + 1
+        qpos = grid[:live, lo:hi]
+        plan.append((lo, hi, live, qpos[:, None, :, None], int(qpos[qpos < t].max()) + 1))
+    return slot, index, tq, plan
 
 
 def causal_attention(
@@ -248,21 +284,29 @@ def causal_attention(
     rows: RowLayout,
     cache: "KVCache | None" = None,
     layer_index: int = 0,
+    queries: np.ndarray | None = None,
 ) -> Tensor:
-    """Multi-head attention with rotary Q/K and a strict causal mask, from the
-    normed ``x`` through the output projection, as one graph node.
+    """The attention sub-block as one graph node: ``x + attention(
+    rms_norm(x, attn_norm))``, multi-head with rotary Q/K and a strict
+    causal mask, through the output projection.
 
-    ``x`` [n, d] holds the rows of B sequences back to back, laid out by
-    ``rows`` (see ``row_layout``). The q/k/v and output projections run on
-    the n rows only, and each sequence attends within itself. Each block of
-    ``_BLOCK`` query rows scores only the sequences longer than its start
-    against the keys up to its last position. A query never sees a position
-    past its own, so the heads of a shorter sequence past its end need no
-    key mask: they hold zeros, and their outputs are never read.
+    ``x`` [n, d] holds the raw residual rows of B sequences back to back,
+    laid out by ``rows`` (see ``row_layout``). The norm and the projections
+    run on the n rows only, and each sequence attends within itself. Each
+    block of ``_BLOCK`` query rows scores only the sequences longer than its
+    start against the keys up to its last position. A query never sees a
+    position past its own, so the heads of a shorter sequence past its end
+    need no key mask: they hold zeros, and their outputs are never read.
 
-    In a graph, the node saves q, k (also transposed), v, the head outputs
-    and each row's logsumexp, never the probabilities: the backward pass
-    recomputes them block by block as exp(scores - logsumexp).
+    ``queries`` (sorted row indices; no cache) computes only those rows: the
+    output is [len(queries), d], and only they get q, scores, head outputs,
+    the output projection and the residual, while keys and values still
+    come from every row.
+
+    In a graph, the node saves q, k and v, the head outputs, each row's
+    logsumexp and each row's norm scale, never the probabilities: the
+    backward pass recomputes them block by block as exp(scores - logsumexp),
+    and rebuilds the transposed keys and the normed rows.
 
     With a ``cache`` (one sequence; inference only), ``x`` holds the tokens
     right after the cached prefix: their keys and values are written into
@@ -279,62 +323,80 @@ def causal_attention(
     complex_dtype = np.result_type(dtype, np.complex64)
     if rows.turn.dtype != complex_dtype:
         raise ValueError(f"row layout built for {rows.turn.dtype}, activations are {dtype}")
-    parents = (x, layer.wq, layer.wk, layer.wv, layer.wo)
+    parents = (x, layer.attn_norm, layer.wq, layer.wk, layer.wv, layer.wo)
     save = ad.recording(parents)
-    if save and cache is not None:
-        raise ValueError("the KV cache path is inference-only; run it outside a graph")
-    seq, pos, start = rows.seq, rows.pos, rows.start
+    if cache is not None and (save or queries is not None):
+        raise ValueError("the KV cache path is inference-only and computes every row; "
+                         "run it outside a graph, without queries")
+    if queries is not None and (np.diff(queries) <= 0).any():
+        raise ValueError("queries must be increasing row indices")
+    seq, pos = rows.seq, rows.pos
+    slot, index, tq, plan = _query_blocks(rows, queries)
+    m = len(slot)
 
+    xn, r = ad.rms_norm_forward(x.data, layer.attn_norm.data, config.rms_eps)
     w_qkv = _fused_projection(layer, config) if cache is None else cache.w_qkv[layer_index]
-    qkv = (x.data @ w_qkv).reshape(n, 3, h, hd)
-    qk = qkv[:, :2].view(complex_dtype)
-    qk *= rows.turn
-    if cache is None:
-        heads = np.zeros((3, b, h, t, hd), dtype=dtype)
-        heads[:, seq, :, pos] = qkv
-        q, k, v = heads
-        k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))  # scores read keys transposed
+    if queries is None:
+        qkv = (xn @ w_qkv).reshape(n, 3, h, hd)
+        qk = qkv[:, :2].view(complex_dtype)
+        qk *= rows.turn
+        if cache is None:
+            heads = np.zeros((3, b, h, t, hd), dtype=dtype)
+            heads[:, seq, :, pos] = qkv
+            q, k, v = heads
+        else:
+            q = np.ascontiguousarray(np.swapaxes(qkv[:, 0], 0, 1))[None]
+            k, v = cache.write(layer_index, qkv[:, 1], qkv[:, 2])
     else:
-        q = np.ascontiguousarray(np.swapaxes(qkv[:, 0], 0, 1))[None]
-        k, v = cache.write(layer_index, qkv[:, 1], qkv[:, 2])
-        k_t = np.swapaxes(k, -1, -2)
-    merged = np.empty((b, h, t, hd), dtype=dtype)  # head outputs
-    lse = np.empty((b, h, t), dtype=dtype) if save else None
-    for block, lo in enumerate(range(0, t, _BLOCK)):
-        hi, live = min(lo + _BLOCK, t), rows.longer[block]
-        s = _block_scores(q[:live, :, lo:hi], k_t[:live], lo, start)
+        kv = (xn @ w_qkv[:, d:]).reshape(n, 2, h, hd)
+        k_turned = kv[:, 0].view(complex_dtype)
+        k_turned *= rows.turn[:, 1]
+        q_rows = (xn[queries] @ w_qkv[:, :d]).reshape(m, h, hd)
+        q_turned = q_rows.view(complex_dtype)
+        q_turned *= rows.turn[queries, 0]
+        heads = np.zeros((2, b, h, t, hd), dtype=dtype)
+        heads[:, seq, :, pos] = kv
+        k, v = heads
+        q = np.zeros((b, h, tq, hd), dtype=dtype)
+        q[slot, :, index] = q_rows
+    k_t = np.swapaxes(k, -1, -2)  # scores read keys transposed
+    if cache is None:
+        k_t = np.ascontiguousarray(k_t)
+    merged = np.empty_like(q)  # head outputs
+    lse = np.empty(q.shape[:3], dtype=dtype) if save else None
+    for lo, hi, live, qpos, n_keys in plan:
+        s = _block_scores(q[:live, :, lo:hi], k_t[:live], qpos, n_keys)
         peak = s.max(axis=-1, keepdims=True)
         s -= peak
         np.exp(s, out=s)
         total = s.sum(axis=-1, keepdims=True)
         o = merged[:live, :, lo:hi]
-        np.matmul(s, v[:live, :, :s.shape[-1]], out=o)
+        np.matmul(s, v[:live, :, :n_keys], out=o)
         o /= total
         if save:
             lse[:live, :, lo:hi] = (peak + np.log(total))[..., 0]
-    merged = merged[seq, :, pos].reshape(n, d)
-    out = merged @ layer.wo.data
+    merged = merged[slot, :, index].reshape(m, d)
+    out = (x.data if queries is None else x.data[queries]) + merged @ layer.wo.data
     if not save:
         return Tensor(out)
 
     def bwd(g):
         g_wo = merged.T @ g
-        d_merged = (g @ layer.wo.data.T).reshape(n, h, hd)
+        d_merged = (g @ layer.wo.data.T).reshape(m, h, hd)
         d_out = np.zeros_like(q)
-        d_out[seq, :, pos] = d_merged
+        d_out[slot, :, index] = d_merged
         # delta_i = sum_j p_ij dp_ij = dO_i . O_i, so no probability row is kept
         delta = np.zeros_like(lse)
-        delta[seq, :, pos] = (d_merged * merged.reshape(n, h, hd)).sum(axis=-1)
+        delta[slot, :, index] = (d_merged * merged.reshape(m, h, hd)).sum(axis=-1)
+        k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))
         v_t = np.ascontiguousarray(np.swapaxes(v, -1, -2))
         dq = np.empty_like(q)
         dk = np.zeros_like(k)
         dv = np.zeros_like(v)
-        for block, lo in enumerate(range(0, t, _BLOCK)):
-            hi, live = min(lo + _BLOCK, t), rows.longer[block]
-            p = _block_scores(q[:live, :, lo:hi], k_t[:live], lo, start)
+        for lo, hi, live, qpos, n_keys in plan:
+            p = _block_scores(q[:live, :, lo:hi], k_t[:live], qpos, n_keys)
             p -= lse[:live, :, lo:hi, None]
             np.exp(p, out=p)
-            n_keys = p.shape[-1]
             d_o = d_out[:live, :, lo:hi]
             dv[:live, :, :n_keys] += np.swapaxes(p, -1, -2) @ d_o
             ds = d_o @ v_t[:live, :, :, :n_keys]
@@ -342,15 +404,20 @@ def causal_attention(
             ds *= p
             dq[:live, :, lo:hi] = ds @ k[:live, :, :n_keys]
             dk[:live, :, :n_keys] += np.swapaxes(ds, -1, -2) @ q[:live, :, lo:hi]
-        d_qkv = np.empty((n, 3, h, hd), dtype=dtype)
-        for i, grad in enumerate((dq, dk, dv)):
-            d_qkv[:, i] = grad[seq, :, pos]
+        d_qkv = np.zeros((n, 3, h, hd), dtype=dtype)  # no q gradient on a row that is no query
+        d_qkv[slice(None) if queries is None else queries, 0] = dq[slot, :, index]
+        d_qkv[:, 1], d_qkv[:, 2] = dk[seq, :, pos], dv[seq, :, pos]
         d_qk = d_qkv[:, :2].view(complex_dtype)
         d_qk *= rows.turn.conj()
         d_qkv = d_qkv.reshape(n, 3 * d)
-        g_w = x.data.T @ d_qkv
+        g_w = (x.data * r * layer.attn_norm.data).T @ d_qkv  # the normed rows, rebuilt
+        gx, g_norm = ad.rms_norm_backward(d_qkv @ w_qkv.T, x.data, layer.attn_norm.data, r)
+        if queries is None:
+            gx = g + gx
+        else:
+            gx[queries] += g
         back = np.argsort(_pair_order(config))
-        return (d_qkv @ w_qkv.T, g_w[:, :d][:, back], g_w[:, d:2 * d][:, back],
+        return (gx, g_norm, g_w[:, :d][:, back], g_w[:, d:2 * d][:, back],
                 g_w[:, 2 * d:], g_wo)
 
     return ad._node(out, parents, bwd)
@@ -422,9 +489,10 @@ def forward(
     they attend to, and the cache grows by n positions.
 
     The logits are [n, vocab] and each decision has one row per token.
-    ``logit_rows`` (indices into the n rows) runs the last layer's MoE, the
-    final norm and the LM head on those rows only, so the logits and the last
-    decision have one row per index.
+    ``logit_rows`` (sorted indices into the n rows; no cache) runs the last
+    layer's attention queries, its MoE, the final norm and the LM head on
+    those rows only, so the logits and the last decision have one row per
+    index.
     """
     tokens = np.asarray(tokens)
     n = len(tokens)
@@ -442,11 +510,10 @@ def forward(
     last = len(params.layers) - 1
     decisions: list[RoutingDecision] = []
     for i, layer in enumerate(params.layers):
-        x = ad.add(x, causal_attention(ad.rms_norm(x, layer.attn_norm, config.rms_eps),
-                                       layer, config, rows, cache, i))
-        if i == last and logit_rows is not None:
-            x = ad.take(x, logit_rows)
-            forced = None if forced is None else forced[logit_rows]
+        queries = logit_rows if i == last else None
+        x = causal_attention(x, layer, config, rows, cache, i, queries)
+        if queries is not None and forced is not None:
+            forced = forced[queries]
         h = ad.rms_norm(x, layer.ffn_norm, config.rms_eps)
         if forced is None:
             y, decision = moe_forward_infer(h, layer.moe, top_k or config.top_k)

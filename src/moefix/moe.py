@@ -74,10 +74,11 @@ def _dispatch(x: Tensor, experts: list[ExpertParams], logits: Tensor,
     K, so neither pass scatter-adds. The gate gradient is nonzero at the
     selected logits only. Outside a graph the node saves nothing.
 
-    The backward pass recomputes the sigmoid and runs the SwiGLU chain rule
-    over tiles of ``_TILE_ROWS`` rows in two reused buffers, with every
-    product in the forward formula's operand order, so the gradients are
-    bitwise those of the whole-block formula.
+    The backward pass gathers the rows per slot from ``x`` again, recomputes
+    the sigmoid and runs the SwiGLU chain rule over tiles of ``_TILE_ROWS``
+    rows in two reused buffers, with every product in the forward formula's
+    operand order, so the gradients are bitwise those of the whole-block
+    formula.
     """
     n, k = idx.shape
     d = x.data.shape[1]
@@ -116,6 +117,7 @@ def _dispatch(x: Tensor, experts: list[ExpertParams], logits: Tensor,
         g_logits = np.zeros_like(logits.data)
         g_logits[picked] = w * (g_w - (g_w * w).sum(axis=1, keepdims=True))
         g_ys = (g[:, None, :] * w[:, :, None]).reshape(n * k, d)[order]
+        xs = x.data[order // k]
         g_xs = np.empty_like(xs)
         g_params = []
         sig = np.empty((_TILE_ROWS, experts[0].up.data.shape[1]), dtype=xs.dtype)

@@ -157,6 +157,13 @@ def attention_reference(x: np.ndarray, layer, config) -> np.ndarray:
     return (p @ v).transpose(0, 2, 1, 3).reshape(b, t, d) @ layer.wo.data
 
 
+def attention_block_reference(x: np.ndarray, layer, config) -> np.ndarray:
+    """The oracle for ``model.causal_attention``, which takes raw residual
+    rows: ``x + attention_reference(rms_norm(x))``."""
+    normed = ad.rms_norm(ad.Tensor(x), layer.attn_norm, config.rms_eps).data
+    return x + attention_reference(normed, layer, config)
+
+
 def nll_reference(params, config, batch_arrays, task_routing: bool = True) -> ad.Tensor:
     """Per-sample oracle for ``training.nll_loss``: each sample runs alone
     through the whole forward pass, every position to the LM head, and the

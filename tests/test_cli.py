@@ -199,6 +199,25 @@ class TestGenData:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pool_text,where,message", [
+        ("the cat sleeps\n!!!\na dog runs\n", "line 2", "sentence has no words: '!!!'"),
+        ("the café opens\n", "line 1", "character 'é' is not in the tokenizer alphabet"),
+        ("\n  \n", "", "empty source text pool"),
+    ])
+    def test_a_pool_train_would_reject_exits_2_naming_the_file(self, tmp_path, capsys,
+                                                               pool_text, where, message):
+        # gen-data wrote records from such lines, and train then refused the
+        # dataset; an empty pool's error named no file
+        pool = tmp_path / "pool.txt"
+        pool.write_text(pool_text, encoding="utf-8")
+        path = tmp_path / "pool.cfg"
+        path.write_text(TINY + f"pool_path = {pool}\n")
+        out = tmp_path / "d.jsonl"
+        assert run_cli("--config", str(path), "gen-data", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert f"error: {pool}: {where + ': ' if where else ''}{message}" in err
+        assert not out.exists()
+
 
 @pytest.fixture
 def trained_run(tiny_config, tmp_path_factory):
@@ -666,6 +685,32 @@ class TestEvalCorrectStats:
         capsys.readouterr()
         code = run_cli("route-stats", "--checkpoint", str(out / "model.ck"), "--data", str(foreign))
         assert_foreign_character_named(code, capsys.readouterr(), f"{foreign}: line 2")
+
+    @pytest.mark.parametrize("command", ["eval", "route-stats"])
+    def test_csv_in_a_missing_directory_exits_2_before_any_work(self, trained_run, tmp_path,
+                                                                capsys, command):
+        # both commands decoded or routed every sample and printed the report
+        # before they found that the CSV could not be written
+        tiny_config, data, out = trained_run
+        csv = tmp_path / "missing" / "report.csv"
+        capsys.readouterr()
+        assert run_cli(command, "--checkpoint", str(out / "model.ck"), "--data", str(data),
+                       "--csv", str(csv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot write the CSV report to {csv}" in captured.err
+        assert not csv.parent.exists()
+
+    @pytest.mark.parametrize("command", ["eval", "route-stats"])
+    def test_a_failed_run_leaves_an_earlier_csv_as_it_was(self, trained_run, tmp_path,
+                                                          capsys, command):
+        tiny_config, data, out = trained_run
+        csv = tmp_path / "report.csv"
+        csv.write_text("an earlier report\n")
+        foreign = with_foreign_character(data, tmp_path / "foreign.jsonl")
+        assert run_cli(command, "--checkpoint", str(out / "model.ck"), "--data", str(foreign),
+                       "--csv", str(csv)) == 2
+        assert csv.read_text() == "an earlier report\n"
 
     def test_incompatible_checkpoint_version_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.ck"

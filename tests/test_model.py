@@ -20,7 +20,7 @@ from moefix.model import (
     rope_tables,
     row_layout,
 )
-from helpers import (attention_reference, gradcheck, greedy_reference, mul, sum_,
+from helpers import (attention_block_reference, gradcheck, greedy_reference, mul, sum_,
                      swiglu_reference)
 
 
@@ -100,8 +100,10 @@ class TestAttention:
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, cfg.d_model)))
         got = causal_attention(x, layer, cfg, row_layout(cfg, [1], np.float64)).data
-        # with T=1 the attention matrix is [[1]], so output reduces to (x Wv) Wo
-        want = (x.data @ layer.wv.data) @ layer.wo.data
+        # with T=1 the attention matrix is [[1]], so the block reduces to
+        # x + (rms_norm(x) Wv) Wo
+        normed = ad.rms_norm(x, layer.attn_norm, cfg.rms_eps).data
+        want = x.data + (normed @ layer.wv.data) @ layer.wo.data
         assert np.abs(got - want).max() < 1e-12
 
     def test_matches_dense_reference_on_a_padded_batch(self):
@@ -113,11 +115,11 @@ class TestAttention:
         real = np.arange(10) < lengths[:, None]
         tokens[~real] = 0  # right padding, for the dense reference
         layer = params.layers[0]
-        x = ad.rms_norm(ad.take(params.embedding, tokens), layer.attn_norm, cfg.rms_eps)
-        got = causal_attention(Tensor(x.data[real]), layer, cfg,
+        x = params.embedding.data[tokens]
+        got = causal_attention(Tensor(x[real]), layer, cfg,
                                row_layout(cfg, lengths, np.float64)).data
         # under the causal mask a real position never reaches a pad one
-        want = attention_reference(x.data, layer, cfg)[real]
+        want = attention_block_reference(x, layer, cfg)[real]
         assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("t", [64, 65, 2 * 64 + 5])
@@ -127,57 +129,124 @@ class TestAttention:
         x = np.random.default_rng(t).normal(size=(2, t, cfg.d_model))
         got = causal_attention(Tensor(x.reshape(2 * t, -1)), params.layers[0], cfg,
                                row_layout(cfg, [t, t], np.float64)).data
-        want = attention_reference(x, params.layers[0], cfg).reshape(2 * t, -1)
+        want = attention_block_reference(x, params.layers[0], cfg).reshape(2 * t, -1)
         assert np.abs(got - want).max() <= 1e-12
+
+    # A ragged batch: a sequence shorter than a block, one longer than two
+    # and one in between. The queries skip the middle one, and the longest
+    # has more of them than one query block holds.
+    RAGGED = np.array([5, 2 * 64 + 5, 70])
+    QUERIES = np.r_[0, 2, 4, np.arange(5 + 50, 5 + 121), 5 + 132]
+
+    def test_queries_match_the_full_node(self):
+        cfg = tiny_config(max_seq_len=160)
+        layer = init_params(cfg, seed=30, dtype="f64").layers[0]
+        x = Tensor(np.random.default_rng(9).normal(size=(self.RAGGED.sum(), cfg.d_model)))
+        rows = row_layout(cfg, self.RAGGED, np.float64)
+        want = causal_attention(x, layer, cfg, rows).data[self.QUERIES]
+        got = causal_attention(x, layer, cfg, rows, queries=self.QUERIES).data
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_queries_with_a_cache_raise(self):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=31)
+        cache = KVCache(params, cfg)
+        x = Tensor(np.zeros((3, cfg.d_model), dtype=np.float32))
+        with pytest.raises(ValueError, match="without queries"):
+            causal_attention(x, params.layers[0], cfg, cache.layout(3), cache,
+                             queries=np.array([2]))
 
     @pytest.mark.parametrize("t", [1, 9, 2 * 64 + 5])
     def test_gradients_match_finite_differences(self, t):
-        # x and the four projections, through one block, a partial one, and three
+        # x, the norm and the four projections, through one block, a partial
+        # one, and three
         self._gradcheck(np.array([t]))
 
     def test_gradients_match_finite_differences_on_a_ragged_batch(self):
-        # a row shorter than one block, one longer than two, one in between
-        self._gradcheck(np.array([5, 2 * 64 + 5, 70]))
+        self._gradcheck(self.RAGGED)
+
+    def test_gradients_match_finite_differences_from_query_rows(self):
+        self._gradcheck(self.RAGGED, self.QUERIES)
 
     @staticmethod
-    def _gradcheck(lengths):
+    def _gradcheck(lengths, queries=None):
         cfg = tiny_config(d_model=8, n_heads=2, max_seq_len=160)
         layer = init_params(cfg, seed=23, dtype="f64").layers[0]
         rng = np.random.default_rng(int(lengths.sum()))
+        # scores of order 1 and a norm weight that is not all ones
+        layer.wq.data *= 10
+        layer.wk.data *= 10
+        layer.attn_norm.data += 0.2 * rng.normal(size=cfg.d_model)
         x = Tensor(rng.normal(size=(lengths.sum(), cfg.d_model)), requires_grad=True)
-        proj = rng.normal(size=x.shape)
+        # the loss subtracts the residual's constant part, so it stays small
+        # and the finite differences' rounding stays below the tolerance
+        x0 = Tensor(-x.data[slice(None) if queries is None else queries])
+        proj = rng.normal(size=x0.shape)
 
         def build():
-            out = causal_attention(x, layer, cfg, row_layout(cfg, lengths, np.float64))
-            return sum_(mul(out, Tensor(proj)))
+            out = causal_attention(x, layer, cfg, row_layout(cfg, lengths, np.float64),
+                                   queries=queries)
+            return sum_(mul(ad.add(out, x0), Tensor(proj)))
 
-        gradcheck(build, [x, layer.wq, layer.wk, layer.wv, layer.wo])
+        gradcheck(build, [x, layer.attn_norm, layer.wq, layer.wk, layer.wv, layer.wo])
+
+    @staticmethod
+    def _tape(n_layers, tokens, lengths, logit_rows=None):
+        """Each node of a forward pass on the training route, with its
+        parents, the name of its backward function and the values its
+        closure saved, read before the graph exits and releases them."""
+        cfg = tiny_config(n_layers=n_layers)
+        params = init_params(cfg, seed=24)
+        with ad.Graph() as graph:
+            forward(params, cfg, tokens, forced=[0, 1], lengths=lengths, logit_rows=logit_rows)
+            return [(node, node._parents, node._backward.__qualname__,
+                     [c.cell_contents for c in node._backward.__closure__ or ()])
+                    for node in graph.nodes]
 
     def test_train_tape_holds_no_score_matrix(self):
         # a [T, T] array on the tape, as a node output or saved for a backward
         # pass, is the quadratic memory the fused node avoids; a node output
         # with one row per [B, T] position would be work done on pads
         t = 9
-
-        def tape(n_layers):
-            """Each node and the arrays its backward closure saved, read
-            before the graph exits and releases the closures."""
-            cfg = tiny_config(n_layers=n_layers)
-            params = init_params(cfg, seed=24)
-            tokens = np.random.default_rng(5).integers(0, cfg.vocab_size, size=t + 6)
-            with ad.Graph() as graph:
-                forward(params, cfg, tokens, forced=[0, 1], lengths=np.array([t, 6]))
-                return [(node, [c.cell_contents for c in node._backward.__closure__ or ()])
-                        for node in graph.nodes]
-
-        nodes = tape(3)
-        for node, cells in nodes:
+        tokens = np.random.default_rng(5).integers(0, tiny_config().vocab_size, size=t + 6)
+        nodes = self._tape(3, tokens, np.array([t, 6]))
+        for node, _, _, cells in nodes:
             assert node.data.shape[0] != 2 * t, node
             for a in [node.data] + [c for c in cells if isinstance(c, np.ndarray)]:
                 assert a.shape[-2:] != (t, t), node
-        # per layer: 2 norms, attention, 2 residual adds and the MoE's gate
-        # matmul and dispatch
-        assert (len(nodes) - len(tape(1))) / 2 == 7
+        # per layer: the attention block (its norm and residual add inside),
+        # the MoE's norm, gate matmul and dispatch, and its residual add
+        assert (len(nodes) - len(self._tape(1, tokens, np.array([t, 6])))) / 2 == 5
+
+    def test_train_tape_keeps_nothing_its_backward_rebuilds(self):
+        # the backward passes rebuild the transposed keys, the normed rows
+        # the attention projects and the MoE's rows gathered per slot [n*K, d];
+        # the last layer keeps q and head outputs of the loss rows only
+        cfg = tiny_config()
+        b, t, d, h, hd, k = 2, 11, cfg.d_model, cfg.n_heads, cfg.head_dim, cfg.top_k
+        tokens = np.random.default_rng(6).integers(0, cfg.vocab_size, size=t + 6)
+        loss_rows = np.array([3, 4, 9, 10, 14, 15])  # 4 in the first sequence, 2 in the second
+        nodes = self._tape(cfg.n_layers, tokens, np.array([t, 6]), loss_rows)
+        attention = [n for n in nodes if n[2].startswith("causal_attention.")]
+        dispatch = [n for n in nodes if n[2].startswith("_dispatch.")]
+        assert len(attention) == len(dispatch) == cfg.n_layers
+        for _, (x, norm, *_), _, cells in attention:
+            normed = ad.rms_norm_forward(x.data, norm.data, cfg.rms_eps)[0]
+            for a in cells:
+                if isinstance(a, np.ndarray):
+                    assert a.shape[-2:] != (hd, t)  # transposed keys
+                    assert not (a.shape == normed.shape and np.allclose(a, normed))
+        for node, _, _, cells in dispatch:
+            n = node.data.shape[0]
+            assert all(a.shape != (n * k, d) for a in cells if isinstance(a, np.ndarray))
+        saved = [a for a in attention[-1][3] if isinstance(a, np.ndarray)]
+        assert attention[-1][0].data.shape == (len(loss_rows), d)
+        # keys and values of every row, q of the loss rows
+        assert sum(a.shape == (b, h, t, hd) for a in saved) == 2
+        assert sum(a.shape == (b, h, 4, hd) for a in saved) == 1
+        assert not [a.shape for a in saved if a.ndim == 2 and a.shape[1] == d
+                    and a.shape[0] > len(loss_rows)]
 
     def test_cache_path_refuses_to_record(self):
         cfg = tiny_config()
@@ -301,8 +370,7 @@ class TestForward:
         # dense reference: same backbone with the expert called directly
         layer = params.layers[0]
         x = ad.take(params.embedding, tokens)
-        x = ad.add(x, causal_attention(ad.rms_norm(x, layer.attn_norm, cfg.rms_eps),
-                                       layer, cfg, row_layout(cfg, [9], np.float32)))
+        x = causal_attention(x, layer, cfg, row_layout(cfg, [9], np.float32))
         h = ad.rms_norm(x, layer.ffn_norm, cfg.rms_eps)
         x = ad.add(x, Tensor(swiglu_reference(h.data, layer.moe.experts[0])))
         x = ad.rms_norm(x, params.final_norm, cfg.rms_eps)
@@ -357,17 +425,17 @@ class TestGeneration:
         assert np.abs(np.concatenate(steps) - full.data).max() < 1e-5
 
     @pytest.mark.parametrize("n_layers", [1, 2, 4])
-    def test_cached_step_creates_seven_tensors_per_layer(self, n_layers):
-        # per layer: 2 norms, attention, 2 residual adds, the gate matmul and
-        # the dispatch; then the embedding take, the final norm and the LM
-        # head's product
+    def test_cached_step_creates_five_tensors_per_layer(self, n_layers):
+        # per layer: the attention block, the MoE's norm, gate matmul and
+        # dispatch, and its residual add; then the embedding take, the final
+        # norm and the LM head's product
         cfg = tiny_config(n_layers=n_layers)
         params = init_params(cfg, seed=28)
         cache = KVCache(params, cfg)
         forward_incremental(params, cfg, np.array([1, 2, 3]), cache)
         before = Tensor(0).node_id
         forward_incremental(params, cfg, np.array([4]), cache)
-        assert Tensor(0).node_id - before - 1 == 7 * n_layers + 3
+        assert Tensor(0).node_id - before - 1 == 5 * n_layers + 3
 
     def test_incremental_rejects_overflowing_cache(self):
         cfg = tiny_config(max_seq_len=8)
