@@ -195,38 +195,11 @@ def clip_global_norm(params, max_norm: float) -> float:
     return norm
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of one shape; the residual adds."""
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add shapes differ: {a.data.shape} + {b.data.shape}")
-    return _node(a.data + b.data, (a, b), lambda g: (g, g))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for matrices [n, k] and [k, m]; the MoE gate's product."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
-
-    def bwd(g):
-        return g @ b.data.T, a.data.T @ g
-
-    return _node(a.data @ b.data, (a, b), bwd)
-
-
-def matmul_nt(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b.T`` for matrices [n, k] and [m, k]; the tied LM head's product."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise ShapeError(f"matmul_nt shapes incompatible: {a.data.shape} x {b.data.shape}.T")
-
-    def bwd(g):
-        return g @ b.data, (a.data.T @ g).T
-
-    return _node(a.data @ b.data.T, (a, b), bwd)
-
-
 def rms_norm_forward(x: np.ndarray, weight: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """``rms_norm`` on arrays: the normed rows and each row's scale
-    1 / rms, [..., 1], which is all ``rms_norm_backward`` needs besides x."""
+    """Root-mean-square normalization over the last axis with a learned
+    scale: the normed rows ``x * r * weight`` and each row's scale r = 1 /
+    rms, [..., 1]. A node that saves r rebuilds the normed rows bitwise from
+    x; r is also all ``rms_norm_backward`` needs besides x."""
     r = 1.0 / np.sqrt(np.square(x).sum(axis=-1, keepdims=True) / x.shape[-1] + eps)
     return x * r * weight, r
 
@@ -242,17 +215,6 @@ def rms_norm_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
     gx = r * gw_term - x * (r**3) * (s / d)
     gw = (g * x * r).reshape(-1, d).sum(axis=0)
     return gx, gw
-
-
-def rms_norm(x: Tensor, weight: Tensor, eps: float) -> Tensor:
-    """Root-mean-square normalization over the last axis with a learned scale."""
-    d = x.data.shape[-1]
-    if weight.data.shape != (d,):
-        raise ShapeError(f"rms_norm weight shape {weight.data.shape} != ({d},)")
-    if eps <= 0:
-        raise ValueError(f"rms_norm eps must be positive, got {eps}")
-    out, r = rms_norm_forward(x.data, weight.data, eps)
-    return _node(out, (x, weight), lambda g: rms_norm_backward(g, x.data, weight.data, r))
 
 
 def take(x: Tensor, idx: np.ndarray) -> Tensor:

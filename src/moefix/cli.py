@@ -127,14 +127,18 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                 "NUMEXPR_NUM_THREADS")
 
 
-def _cap_threads(argv: list[str]) -> None:
-    """Cap numpy's worker threads. --deterministic sets one thread, over any
-    NEKO_THREADS or BLAS variable already set; otherwise NEKO_THREADS fills in
-    the BLAS variables that are not set."""
+def _cap_threads(deterministic: bool) -> None:
+    """Cap numpy's worker threads. ``deterministic`` (the --deterministic
+    flag) sets one thread, over any NEKO_THREADS or BLAS variable already
+    set; otherwise NEKO_THREADS fills in the BLAS variables that are not set.
+    Raises ConfigError when NEKO_THREADS is set to anything but a positive
+    integer."""
     n = os.environ.get("NEKO_THREADS")
-    if "--deterministic" in argv:
+    if n is not None and not (n.isascii() and n.isdigit() and int(n) > 0):
+        raise ConfigError(f"NEKO_THREADS must be a positive integer, got {n!r}")
+    if deterministic:
         os.environ.update(dict.fromkeys(_THREAD_VARS, "1"))
-    elif n:
+    elif n is not None:
         for var in _THREAD_VARS:
             os.environ.setdefault(var, n)
 
@@ -366,9 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    _cap_threads(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # loads no numpy
+    try:
+        _cap_threads(args.deterministic)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     from .training import NoUsableSamples, NumericalError
 
     try:

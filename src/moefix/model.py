@@ -468,6 +468,20 @@ class KVCache:
         self.length = length
 
 
+def lm_head(x: Tensor, norm: Tensor, embedding: Tensor, eps: float) -> Tensor:
+    """The final norm and the tied LM head as one graph node: ``rms_norm(x,
+    norm) @ embedding.T``. In a graph it saves each row's norm scale and
+    rebuilds the normed rows in its backward pass."""
+    h, r = ad.rms_norm_forward(x.data, norm.data, eps)
+
+    def bwd(g):
+        g_embedding = ((x.data * r * norm.data).T @ g).T  # the normed rows, rebuilt
+        gx, g_norm = ad.rms_norm_backward(g @ embedding.data, x.data, norm.data, r)
+        return gx, g_norm, g_embedding
+
+    return ad._node(h @ embedding.data.T, (x, norm, embedding), bwd)
+
+
 def forward(
     params: TransformerParams,
     config: ModelConfig,
@@ -508,22 +522,20 @@ def forward(
     if forced is not None:  # one id per row
         forced = np.repeat(np.broadcast_to(np.asarray(forced, dtype=np.int64), len(lengths)), lengths)
     last = len(params.layers) - 1
+    k, eps = top_k or config.top_k, config.rms_eps
     decisions: list[RoutingDecision] = []
     for i, layer in enumerate(params.layers):
         queries = logit_rows if i == last else None
         x = causal_attention(x, layer, config, rows, cache, i, queries)
         if queries is not None and forced is not None:
             forced = forced[queries]
-        h = ad.rms_norm(x, layer.ffn_norm, config.rms_eps)
         if forced is None:
-            y, decision = moe_forward_infer(h, layer.moe, top_k or config.top_k)
+            x, decision = moe_forward_infer(x, layer.moe, k, layer.ffn_norm, eps)
         else:
-            y, decision = moe_forward_task(h, layer.moe, forced, top_k or config.top_k)
+            x, decision = moe_forward_task(x, layer.moe, forced, k, layer.ffn_norm, eps)
         decisions.append(decision)
-        x = ad.add(x, y)
 
-    x = ad.rms_norm(x, params.final_norm, config.rms_eps)
-    logits = ad.matmul_nt(x, params.embedding)
+    logits = lm_head(x, params.final_norm, params.embedding, eps)
     if cache is not None:
         cache.length += n
     return logits, decisions

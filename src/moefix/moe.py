@@ -62,65 +62,81 @@ def _topk(logits: np.ndarray, k: int) -> np.ndarray:
 _TILE_ROWS = 128  # rows per tile of the SwiGLU backward: its buffers stay in cache
 
 
-def _dispatch(x: Tensor, experts: list[ExpertParams], logits: Tensor,
-              idx: np.ndarray) -> tuple[Tensor, np.ndarray]:
-    """Dropless sorted dispatch: ``out[i] = sum_j w[i, j] *
-    expert_idx[i, j](x[i])``, where ``w[i]`` is the softmax over the K
-    selected gate logits ``logits[i, idx[i]]``. Returns ``out`` and ``w``.
+def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
+           forced: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
+    """The MoE sub-block as one graph node: ``x + moe(rms_norm(x, norm))``
+    for raw residual rows ``x`` [n, d], each routed to k experts.
 
-    One stable argsort orders the n*K (row, slot) pairs by expert, so each
-    expert runs once on a contiguous block of its rows, in token order. The
-    combine is the inverse permutation, a reshape to [n, K, d] and a sum over
-    K, so neither pass scatter-adds. The gate gradient is nonzero at the
-    selected logits only. Outside a graph the node saves nothing.
+    The experts are the top-k gate logits of each normed row; its ``forced``
+    expert (one id per row), if given, ranks first (its logit counts as +inf
+    for the selection only). Ties go to the lowest index. ``moe(h)[i] =
+    sum_j w[i, j] * expert_idx[i, j](h[i])``, where ``w[i]`` is the softmax
+    over the k selected logits; unselected experts are never evaluated.
 
-    The backward pass gathers the rows per slot from ``x`` again, recomputes
-    the sigmoid and runs the SwiGLU chain rule over tiles of ``_TILE_ROWS``
-    rows in two reused buffers, with every product in the forward formula's
-    operand order, so the gradients are bitwise those of the whole-block
-    formula.
+    The dispatch is dropless and sorted: one stable argsort orders the n*k
+    (row, slot) pairs by expert, so each expert runs once on a contiguous
+    block of its rows, in token order. The combine is the inverse
+    permutation, a reshape to [n, k, d] and a sum over k, so neither pass
+    scatter-adds.
+
+    The node's parents are ``x``, ``norm``, the gate and every expert
+    matrix. In a graph it saves each row's norm scale, the weights, the sort
+    and each expert's two input projections, nothing when outside one. The
+    backward pass rebuilds the normed rows, recomputes the sigmoid and runs
+    the SwiGLU chain rule over tiles of ``_TILE_ROWS`` rows in two reused
+    buffers, with every product in the forward formula's operand order, so
+    the gradients are bitwise those of the whole-block formula. The gate
+    gradient needs no expert output: with ``a[i, j] = w[i, j] * (g[i] .
+    y[i, j]) = sum_f(g_gated * gated)``, taken in the tiles, the selected
+    logits' gradient is ``a[i, j] - w[i, j] * sum_l a[i, l]``.
     """
-    n, k = idx.shape
-    d = x.data.shape[1]
+    experts = params.experts
+    n, d = x.data.shape
+    h, r = ad.rms_norm_forward(x.data, norm.data, eps)
+    logits = h @ params.gate.data
+    ranked = logits
+    if forced is not None:
+        ranked = logits.copy()
+        ranked[np.arange(n), forced] = np.inf
+    idx = _topk(ranked, k)
     picked = (np.arange(n)[:, None], idx)
-    z = logits.data[picked]  # [n, K]
+    z = logits[picked]  # [n, k]
     w = np.exp(z - z.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
-    params = tuple(t for ex in experts for t in (ex.up, ex.gate_proj, ex.down))
-    parents = (x, logits) + params
+    decision = RoutingDecision(indices=idx, weights=w, task_forced=forced)
+    parents = (x, norm, params.gate) + tuple(
+        t for ex in experts for t in (ex.up, ex.gate_proj, ex.down))
     save = ad.recording(parents)
     slot_expert = idx.ravel()
     order = np.argsort(slot_expert, kind="stable")
     bounds = np.searchsorted(slot_expert[order], np.arange(len(experts) + 1))
-    xs = x.data[order // k]  # [n*K, d], grouped by expert
-    ys = np.empty((n * k, d), dtype=xs.dtype)
+    hs = h[order // k]  # [n*k, d], grouped by expert
+    ys = np.empty_like(hs)
     saved = [None] * len(experts)
     for e, expert in enumerate(experts):
         lo, hi = bounds[e], bounds[e + 1]
         if lo == hi:
             continue
-        h_gate = xs[lo:hi] @ expert.gate_proj.data
-        h_up = xs[lo:hi] @ expert.up.data
+        h_gate = hs[lo:hi] @ expert.gate_proj.data
+        h_up = hs[lo:hi] @ expert.up.data
         sig = 1.0 / (1.0 + np.exp(-h_gate))
         ys[lo:hi] = (h_gate * sig * h_up) @ expert.down.data
         if save:
             saved[e] = (h_gate, h_up)  # the sigmoid and products are recomputed: less to hold
     y = np.empty_like(ys)
     y[order] = ys
-    y = y.reshape(n, k, d)
-    out = (y * w[:, :, None]).sum(axis=1)
+    out = x.data + (y.reshape(n, k, d) * w[:, :, None]).sum(axis=1)
     if not save:
-        return Tensor(out), w
+        return Tensor(out), decision
 
     def bwd(g):
-        g_w = (g[:, None, :] * y).sum(axis=-1)
-        g_logits = np.zeros_like(logits.data)
-        g_logits[picked] = w * (g_w - (g_w * w).sum(axis=1, keepdims=True))
+        h = x.data * r * norm.data  # the normed rows, rebuilt
+        hs = h[order // k]
         g_ys = (g[:, None, :] * w[:, :, None]).reshape(n * k, d)[order]
-        xs = x.data[order // k]
-        g_xs = np.empty_like(xs)
+        g_hs = np.empty_like(hs)
+        a = np.empty(n * k, dtype=hs.dtype)  # w * (g . y) per slot, in expert order
         g_params = []
-        sig = np.empty((_TILE_ROWS, experts[0].up.data.shape[1]), dtype=xs.dtype)
+        sig = np.empty((_TILE_ROWS, experts[0].up.data.shape[1]), dtype=hs.dtype)
         act = np.empty_like(sig)
         for e, expert in enumerate(experts):
             if saved[e] is None:
@@ -132,61 +148,51 @@ def _dispatch(x: Tensor, experts: list[ExpertParams], logits: Tensor,
             gated = np.empty_like(g_gated)
             g_h_up = np.empty_like(g_gated)
             g_h_gate = g_gated  # overwritten tile by tile, each after its last read
-            for a in range(0, hi - lo, _TILE_ROWS):
-                b = min(a + _TILE_ROWS, hi - lo)
-                hg, hu, gg, s, t = h_gate[a:b], h_up[a:b], g_gated[a:b], sig[:b - a], act[:b - a]
+            for i0 in range(0, hi - lo, _TILE_ROWS):
+                i1 = min(i0 + _TILE_ROWS, hi - lo)
+                hg, hu, gg, s, t = h_gate[i0:i1], h_up[i0:i1], g_gated[i0:i1], sig[:i1 - i0], act[:i1 - i0]
                 np.negative(hg, out=s)  # sig = 1 / (1 + exp(-h_gate))
                 np.exp(s, out=s)
                 np.add(1.0, s, out=s)
                 np.divide(1.0, s, out=s)
                 np.multiply(hg, s, out=t)  # act
-                np.multiply(t, hu, out=gated[a:b])
-                np.multiply(gg, t, out=g_h_up[a:b])
+                np.multiply(t, hu, out=gated[i0:i1])
+                np.einsum("ij,ij->i", gg, gated[i0:i1], out=a[lo + i0:lo + i1])
+                np.multiply(gg, t, out=g_h_up[i0:i1])
                 np.subtract(1.0, s, out=t)  # act' = sig * (1 + h_gate * (1 - sig))
                 np.multiply(hg, t, out=t)
                 np.add(1.0, t, out=t)
                 np.multiply(s, t, out=t)
                 np.multiply(gg, hu, out=gg)  # g_h_gate = (g_gated * h_up) * act'
                 np.multiply(gg, t, out=gg)
-            g_xs[lo:hi] = g_h_up @ expert.up.data.T + g_h_gate @ expert.gate_proj.data.T
-            g_params += [xs[lo:hi].T @ g_h_up, xs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
-        g_slots = np.empty_like(g_xs)
-        g_slots[order] = g_xs
-        return (g_slots.reshape(n, k, d).sum(axis=1), g_logits, *g_params)
+            g_hs[lo:hi] = g_h_up @ expert.up.data.T + g_h_gate @ expert.gate_proj.data.T
+            g_params += [hs[lo:hi].T @ g_h_up, hs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
+        g_slots = np.empty_like(g_hs)
+        g_slots[order] = g_hs
+        a_slots = np.empty_like(a)
+        a_slots[order] = a
+        a = a_slots.reshape(n, k)
+        g_logits = np.zeros((n, len(experts)), dtype=hs.dtype)
+        g_logits[picked] = a - w * a.sum(axis=1, keepdims=True)
+        g_h = g_slots.reshape(n, k, d).sum(axis=1) + g_logits @ params.gate.data.T
+        gx, g_norm = ad.rms_norm_backward(g_h, x.data, norm.data, r)
+        return (g + gx, g_norm, h.T @ g_logits, *g_params)
 
-    return ad._node(out, parents, bwd), w
-
-
-def _route(x: Tensor, params: MoeLayerParams, k: int,
-           forced: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
-    """Route token rows [N, d] to k experts each and mix their outputs.
-
-    The experts are the top-k gate logits of each row; its ``forced`` expert
-    (one id per row), if given, ranks first (its logit counts as +inf for the
-    selection only). Ties go to the lowest index. The weights are the softmax
-    over the selected logits, taken in the dispatch node; unselected experts
-    are never evaluated.
-    """
-    logits = ad.matmul(x, params.gate)
-    ranked = logits.data
-    if forced is not None:
-        ranked = ranked.copy()
-        ranked[np.arange(forced.size), forced] = np.inf
-    idx = _topk(ranked, k)
-    y, weights = _dispatch(x, params.experts, logits, idx)
-    return y, RoutingDecision(indices=idx, weights=weights, task_forced=forced)
+    return ad._node(out, parents, bwd), decision
 
 
-def moe_forward_infer(x: Tensor, params: MoeLayerParams,
-                      k: int) -> tuple[Tensor, RoutingDecision]:
-    """Inference mixing: plain top-k. Task-agnostic by construction."""
-    return _route(x, params, k)
+def moe_forward_infer(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor,
+                      eps: float) -> tuple[Tensor, RoutingDecision]:
+    """Inference mixing: plain top-k. Task-agnostic by construction. Returns
+    ``x + moe(rms_norm(x, norm))`` (see ``_route``) and the decision."""
+    return _route(x, params, k, norm, eps)
 
 
-def moe_forward_task(x: Tensor, params: MoeLayerParams,
-                     task_expert, k: int) -> tuple[Tensor, RoutingDecision]:
+def moe_forward_task(x: Tensor, params: MoeLayerParams, task_expert, k: int,
+                     norm: Tensor, eps: float) -> tuple[Tensor, RoutingDecision]:
     """Training mixing: the task-mapped expert plus the best k - 1 others,
-    weighted by the softmax over the k selected logits.
+    weighted by the softmax over the k selected logits. Returns ``x +
+    moe(rms_norm(x, norm))`` (see ``_route``) and the decision.
 
     ``task_expert`` is an expert index (scalar, or one per token row of ``x``).
     """
@@ -194,7 +200,7 @@ def moe_forward_task(x: Tensor, params: MoeLayerParams,
     forced = np.array(np.broadcast_to(np.asarray(task_expert, dtype=np.int64), (x.data.shape[0],)))
     if forced.min() < 0 or forced.max() >= n_experts:
         raise ValueError(f"task expert id out of range [0, {n_experts})")
-    return _route(x, params, k, forced)
+    return _route(x, params, k, norm, eps, forced)
 
 
 @dataclass

@@ -52,6 +52,41 @@ def gradcheck(build, params: list[ad.Tensor], tol: float = 1e-4, h: float = 1e-5
         assert err <= tol, f"gradient mismatch: rel err {err:.3e} > {tol}"
 
 
+def add(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """Elementwise sum node of two tensors of one shape, for the test losses
+    and the references."""
+    if a.data.shape != b.data.shape:
+        raise ad.ShapeError(f"add shapes differ: {a.data.shape} + {b.data.shape}")
+    return ad._node(a.data + b.data, (a, b), lambda g: (g, g))
+
+
+def matmul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """``a @ b`` node for matrices [n, k] and [k, m]."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+        raise ad.ShapeError(f"matmul shapes incompatible: {a.data.shape} x {b.data.shape}")
+    return ad._node(a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+
+
+def matmul_nt(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
+    """``a @ b.T`` node for matrices [n, k] and [m, k]."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
+        raise ad.ShapeError(f"matmul_nt shapes incompatible: {a.data.shape} x {b.data.shape}.T")
+    return ad._node(a.data @ b.data.T, (a, b), lambda g: (g @ b.data, (a.data.T @ g).T))
+
+
+def rms_norm(x: ad.Tensor, weight: ad.Tensor, eps: float) -> ad.Tensor:
+    """Root-mean-square normalization node over the last axis, built on the
+    ``rms_norm_forward`` and ``rms_norm_backward`` pair that the model's nodes
+    share; the reference for their norms."""
+    d = x.data.shape[-1]
+    if weight.data.shape != (d,):
+        raise ad.ShapeError(f"rms_norm weight shape {weight.data.shape} != ({d},)")
+    if eps <= 0:
+        raise ValueError(f"rms_norm eps must be positive, got {eps}")
+    out, r = ad.rms_norm_forward(x.data, weight.data, eps)
+    return ad._node(out, (x, weight), lambda g: ad.rms_norm_backward(g, x.data, weight.data, r))
+
+
 def mul(a: ad.Tensor, b: ad.Tensor) -> ad.Tensor:
     """Elementwise product node of two tensors of one shape, for the test
     losses."""
@@ -78,49 +113,61 @@ def swiglu_reference(x: np.ndarray, expert) -> np.ndarray:
     return (h * sig * (x @ expert.up.data)) @ expert.down.data
 
 
-def dispatch_backward_reference(x, experts, logits, idx, g):
-    """The MoE dispatch node's backward pass over whole expert blocks, the
-    oracle for its tiled SwiGLU chain: arrays ``x`` [n, d] and ``logits``
-    [n, E], the selected experts ``idx`` [n, K] and the output gradient ``g``
-    [n, d]. Returns what the node's backward returns: the gradients of x and
-    of the logits, then up, gate_proj and down per expert (None for an expert
-    with no rows)."""
+def moe_block_reference(x: np.ndarray, norm, eps: float, mixture) -> np.ndarray:
+    """The oracle for the MoE node, which takes raw residual rows:
+    ``x + mixture(rms_norm(x, norm))``, with ``mixture`` a function of the
+    normed rows."""
+    return x + mixture(ad.rms_norm_forward(x, norm.data, eps)[0])
+
+
+def moe_backward_reference(x, norm, eps, layer, idx, g):
+    """The MoE node's backward pass over whole expert blocks, the oracle for
+    its tiled SwiGLU chain: arrays ``x`` [n, d] and ``g`` [n, d] (the input
+    rows and the output gradient), the norm weight, the layer and the
+    selected experts ``idx`` [n, K]. Returns what the node's backward
+    returns: the gradients of x, the norm and the gate, then up, gate_proj
+    and down per expert (None for an expert with no rows)."""
     n, k = idx.shape
     d = x.shape[1]
+    experts = layer.experts
+    h, r = ad.rms_norm_forward(x, norm.data, eps)
     picked = (np.arange(n)[:, None], idx)
-    z = logits[picked]
+    z = (h @ layer.gate.data)[picked]
     w = np.exp(z - z.max(axis=1, keepdims=True))
     w /= w.sum(axis=1, keepdims=True)
     order = np.argsort(idx.ravel(), kind="stable")
     bounds = np.searchsorted(idx.ravel()[order], np.arange(len(experts) + 1))
-    xs = x[order // k]
+    hs = h[order // k]
     g_ys = (g[:, None, :] * w[:, :, None]).reshape(n * k, d)[order]
-    ys, g_xs = np.empty_like(xs), np.empty_like(xs)
+    g_hs = np.empty_like(hs)
+    a = np.empty(n * k, dtype=hs.dtype)
     g_params = []
     for e, expert in enumerate(experts):
         lo, hi = bounds[e], bounds[e + 1]
         if lo == hi:
             g_params += [None, None, None]
             continue
-        h_gate = xs[lo:hi] @ expert.gate_proj.data
-        h_up = xs[lo:hi] @ expert.up.data
+        h_gate = hs[lo:hi] @ expert.gate_proj.data
+        h_up = hs[lo:hi] @ expert.up.data
         sig = 1.0 / (1.0 + np.exp(-h_gate))
         act = h_gate * sig
         gated = act * h_up
-        ys[lo:hi] = gated @ expert.down.data
         g_gated = g_ys[lo:hi] @ expert.down.data.T
+        a[lo:hi] = np.einsum("ij,ij->i", g_gated, gated)
         g_h_up = g_gated * act
         g_h_gate = (g_gated * h_up) * (sig * (1.0 + h_gate * (1.0 - sig)))
-        g_xs[lo:hi] = g_h_up @ expert.up.data.T + g_h_gate @ expert.gate_proj.data.T
-        g_params += [xs[lo:hi].T @ g_h_up, xs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
-    y = np.empty_like(ys)
-    y[order] = ys
-    g_w = (g[:, None, :] * y.reshape(n, k, d)).sum(axis=-1)
-    g_logits = np.zeros_like(logits)
-    g_logits[picked] = w * (g_w - (g_w * w).sum(axis=1, keepdims=True))
-    g_slots = np.empty_like(g_xs)
-    g_slots[order] = g_xs
-    return (g_slots.reshape(n, k, d).sum(axis=1), g_logits, *g_params)
+        g_hs[lo:hi] = g_h_up @ expert.up.data.T + g_h_gate @ expert.gate_proj.data.T
+        g_params += [hs[lo:hi].T @ g_h_up, hs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
+    a_slots = np.empty_like(a)
+    a_slots[order] = a
+    a = a_slots.reshape(n, k)
+    g_logits = np.zeros((n, len(experts)), dtype=hs.dtype)
+    g_logits[picked] = a - w * a.sum(axis=1, keepdims=True)
+    g_slots = np.empty_like(g_hs)
+    g_slots[order] = g_hs
+    g_h = g_slots.reshape(n, k, d).sum(axis=1) + g_logits @ layer.gate.data.T
+    gx, g_norm = ad.rms_norm_backward(g_h, x, norm.data, r)
+    return (g + gx, g_norm, h.T @ g_logits, *g_params)
 
 
 def masked_softmax_reference(logits: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -160,7 +207,7 @@ def attention_reference(x: np.ndarray, layer, config) -> np.ndarray:
 def attention_block_reference(x: np.ndarray, layer, config) -> np.ndarray:
     """The oracle for ``model.causal_attention``, which takes raw residual
     rows: ``x + attention_reference(rms_norm(x))``."""
-    normed = ad.rms_norm(ad.Tensor(x), layer.attn_norm, config.rms_eps).data
+    normed = ad.rms_norm_forward(x, layer.attn_norm.data, config.rms_eps)[0]
     return x + attention_reference(normed, layer, config)
 
 
@@ -178,7 +225,7 @@ def nll_reference(params, config, batch_arrays, task_routing: bool = True) -> ad
         rows = np.flatnonzero(mask[seq])
         nll = ad.cross_entropy(ad.take(logits, rows), targets[seq][rows])
         share = ad.Tensor(np.asarray(mask[seq].sum() / mask.sum(), dtype=logits.dtype))
-        total = mul(nll, share) if total is None else ad.add(total, mul(nll, share))
+        total = mul(nll, share) if total is None else add(total, mul(nll, share))
     return total
 
 

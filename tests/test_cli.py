@@ -135,7 +135,7 @@ class TestConfig:
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("NEKO_THREADS", "1")
         monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-        cli._cap_threads([])
+        cli._cap_threads(False)
         assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
     def test_deterministic_flag_caps_threads_before_numpy_loads(self, tiny_config, tmp_path):
@@ -145,26 +145,52 @@ class TestConfig:
         preset = {"NEKO_THREADS": "2", "OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "2"}
         assert _deterministic_thread_vars(tiny_config, tmp_path, preset) == ["1"] * 4
 
+    def test_abbreviated_deterministic_flag_caps_threads(self, tiny_config, tmp_path):
+        # argparse takes --determ for --deterministic, so the cap must too
+        assert _deterministic_thread_vars(tiny_config, tmp_path, {}, "--determ") == ["1"] * 4
 
-def _deterministic_thread_vars(config_path, tmp_path, preset):
-    """The BLAS thread variables after ``main(['--deterministic', ...])`` in a
-    fresh process whose environment holds ``preset``. The flag is read from
-    main's argv, not sys.argv, and the cap is set while numpy is still
-    unloaded, so BLAS reads it."""
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
+    def test_bad_neko_threads_exits_2_before_numpy_loads(self, tiny_config, tmp_path, value):
+        out = tmp_path / "d.jsonl"
+        script = (
+            "import sys\n"
+            "import moefix.cli\n"
+            f"code = moefix.cli.main(['--config', {tiny_config!r}, 'gen-data', '--out', {str(out)!r}])\n"
+            "assert 'numpy' not in sys.modules, 'numpy loaded before the check'\n"
+            "sys.exit(code)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env(thread_free_env({"NEKO_THREADS": value})))
+        assert proc.returncode == 2, proc.stderr
+        assert f"NEKO_THREADS must be a positive integer, got {value!r}" in proc.stderr
+        assert not out.exists()
+
+
+def thread_free_env(preset):
+    """This process's environment without NEKO_THREADS and the BLAS thread
+    variables, plus ``preset``."""
+    env = {k: v for k, v in os.environ.items()
+           if k != "NEKO_THREADS" and k not in cli._THREAD_VARS}
+    return {**env, **preset}
+
+
+def _deterministic_thread_vars(config_path, tmp_path, preset, flag="--deterministic"):
+    """The BLAS thread variables after ``main([flag, ...])`` in a fresh
+    process whose environment holds ``preset``. The flag is read from main's
+    argv, not sys.argv, and the cap is set while numpy is still unloaded, so
+    BLAS reads it."""
     script = (
         "import os, sys\n"
         "import moefix.cli\n"
         "assert 'numpy' not in sys.modules, 'importing moefix.cli loaded numpy'\n"
         "sys.argv = ['moefix']\n"
-        f"code = moefix.cli.main(['--config', {config_path!r}, '--deterministic',\n"
+        f"code = moefix.cli.main(['--config', {config_path!r}, {flag!r},\n"
         f"                        'gen-data', '--out', {str(tmp_path / 'd.jsonl')!r}])\n"
         "assert code == 0, code\n"
         "print(*(os.environ.get(v) for v in moefix.cli._THREAD_VARS))\n"
     )
-    env = {k: v for k, v in os.environ.items()
-           if k != "NEKO_THREADS" and k not in cli._THREAD_VARS}
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=child_env({**env, **preset}))
+                          env=child_env(thread_free_env(preset)))
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()
 

@@ -15,13 +15,14 @@ from moefix.model import (
     forward_incremental,
     generate,
     init_params,
+    lm_head,
     named_tensors,
     parameters,
     rope_tables,
     row_layout,
 )
-from helpers import (attention_block_reference, gradcheck, greedy_reference, mul, sum_,
-                     swiglu_reference)
+from helpers import (add, attention_block_reference, gradcheck, greedy_reference,
+                     matmul_nt, moe_block_reference, mul, rms_norm, sum_, swiglu_reference)
 
 
 def tiny_config(**overrides):
@@ -102,7 +103,7 @@ class TestAttention:
         got = causal_attention(x, layer, cfg, row_layout(cfg, [1], np.float64)).data
         # with T=1 the attention matrix is [[1]], so the block reduces to
         # x + (rms_norm(x) Wv) Wo
-        normed = ad.rms_norm(x, layer.attn_norm, cfg.rms_eps).data
+        normed = rms_norm(x, layer.attn_norm, cfg.rms_eps).data
         want = x.data + (normed @ layer.wv.data) @ layer.wo.data
         assert np.abs(got - want).max() < 1e-12
 
@@ -187,7 +188,7 @@ class TestAttention:
         def build():
             out = causal_attention(x, layer, cfg, row_layout(cfg, lengths, np.float64),
                                    queries=queries)
-            return sum_(mul(ad.add(out, x0), Tensor(proj)))
+            return sum_(mul(add(out, x0), Tensor(proj)))
 
         gradcheck(build, [x, layer.attn_norm, layer.wq, layer.wk, layer.wv, layer.wo])
 
@@ -215,13 +216,14 @@ class TestAttention:
             assert node.data.shape[0] != 2 * t, node
             for a in [node.data] + [c for c in cells if isinstance(c, np.ndarray)]:
                 assert a.shape[-2:] != (t, t), node
-        # per layer: the attention block (its norm and residual add inside),
-        # the MoE's norm, gate matmul and dispatch, and its residual add
-        assert (len(nodes) - len(self._tape(1, tokens, np.array([t, 6])))) / 2 == 5
+        # per layer: the attention block and the MoE block, each with its
+        # norm and residual add inside
+        assert (len(nodes) - len(self._tape(1, tokens, np.array([t, 6])))) / 2 == 2
 
     def test_train_tape_keeps_nothing_its_backward_rebuilds(self):
-        # the backward passes rebuild the transposed keys, the normed rows
-        # the attention projects and the MoE's rows gathered per slot [n*K, d];
+        # the backward passes rebuild the transposed keys and the normed rows
+        # of both blocks; the MoE block keeps no expert output, per slot
+        # [n*K, d] or [n, K, d], nor any [n, d] array beside its own output;
         # the last layer keeps q and head outputs of the loss rows only
         cfg = tiny_config()
         b, t, d, h, hd, k = 2, 11, cfg.d_model, cfg.n_heads, cfg.head_dim, cfg.top_k
@@ -229,17 +231,18 @@ class TestAttention:
         loss_rows = np.array([3, 4, 9, 10, 14, 15])  # 4 in the first sequence, 2 in the second
         nodes = self._tape(cfg.n_layers, tokens, np.array([t, 6]), loss_rows)
         attention = [n for n in nodes if n[2].startswith("causal_attention.")]
-        dispatch = [n for n in nodes if n[2].startswith("_dispatch.")]
-        assert len(attention) == len(dispatch) == cfg.n_layers
-        for _, (x, norm, *_), _, cells in attention:
+        mixing = [n for n in nodes if n[2].startswith("_route.")]
+        head = [n for n in nodes if n[2].startswith("lm_head.")]
+        assert len(attention) == len(mixing) == cfg.n_layers and len(head) == 1
+        for _, (x, norm, *_), _, cells in attention + mixing + head:
             normed = ad.rms_norm_forward(x.data, norm.data, cfg.rms_eps)[0]
-            for a in cells:
-                if isinstance(a, np.ndarray):
-                    assert a.shape[-2:] != (hd, t)  # transposed keys
-                    assert not (a.shape == normed.shape and np.allclose(a, normed))
-        for node, _, _, cells in dispatch:
+            for a in saved_arrays(cells):
+                assert a.shape[-2:] != (hd, t)  # transposed keys
+                assert not (a.shape == normed.shape and np.allclose(a, normed))
+        for node, _, _, cells in mixing:
             n = node.data.shape[0]
-            assert all(a.shape != (n * k, d) for a in cells if isinstance(a, np.ndarray))
+            for a in saved_arrays(cells):
+                assert a.shape not in ((n * k, d), (n, k, d), (n, d))
         saved = [a for a in attention[-1][3] if isinstance(a, np.ndarray)]
         assert attention[-1][0].data.shape == (len(loss_rows), d)
         # keys and values of every row, q of the loss rows
@@ -371,17 +374,50 @@ class TestForward:
         layer = params.layers[0]
         x = ad.take(params.embedding, tokens)
         x = causal_attention(x, layer, cfg, row_layout(cfg, [9], np.float32))
-        h = ad.rms_norm(x, layer.ffn_norm, cfg.rms_eps)
-        x = ad.add(x, Tensor(swiglu_reference(h.data, layer.moe.experts[0])))
-        x = ad.rms_norm(x, params.final_norm, cfg.rms_eps)
-        want = x.data @ params.embedding.data.T
-        assert np.array_equal(got.data, want)
+        x = moe_block_reference(x.data, layer.ffn_norm, cfg.rms_eps,
+                                lambda h: swiglu_reference(h, layer.moe.experts[0]))
+        want = matmul_nt(rms_norm(Tensor(x), params.final_norm, cfg.rms_eps), params.embedding)
+        assert np.array_equal(got.data, want.data)
 
     def test_param_count_consistent(self):
         cfg = tiny_config()
         params = init_params(cfg, seed=16)
         names = [n for n, _ in named_tensors(params)]
         assert len(names) == len(set(names))
+
+
+class TestLmHead:
+    @staticmethod
+    def _inputs(dtype=np.float64):
+        cfg = tiny_config()
+        rng = np.random.default_rng(29)
+
+        def param(*shape, base=0.0):
+            return Tensor((base + rng.normal(size=shape)).astype(dtype), requires_grad=True)
+
+        x, norm = param(7, cfg.d_model), param(cfg.d_model, base=1.0)
+        embedding = param(cfg.vocab_size, cfg.d_model)
+        return cfg, x, norm, embedding, Tensor(rng.normal(size=(7, cfg.vocab_size)).astype(dtype))
+
+    def test_gradients_match_finite_differences(self):
+        # the rows, the final norm and the tied embedding
+        cfg, x, norm, embedding, proj = self._inputs()
+        gradcheck(lambda: sum_(mul(lm_head(x, norm, embedding, cfg.rms_eps), proj)),
+                  [x, norm, embedding])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_bitwise_equal_to_the_norm_and_product_nodes(self, dtype):
+        cfg, x, norm, embedding, proj = self._inputs(dtype)
+        grads = []
+        for head in (lambda: lm_head(x, norm, embedding, cfg.rms_eps),
+                     lambda: matmul_nt(rms_norm(x, norm, cfg.rms_eps), embedding)):
+            ad.zero_grads([x, norm, embedding])
+            with ad.Graph():
+                out = head()
+                ad.backward(sum_(mul(out, proj)))
+            grads.append([out.data] + [t.grad for t in (x, norm, embedding)])
+        for a, b in zip(*grads):
+            assert a.dtype == dtype and a.tobytes() == b.tobytes()
 
 
 class TestGeneration:
@@ -425,17 +461,16 @@ class TestGeneration:
         assert np.abs(np.concatenate(steps) - full.data).max() < 1e-5
 
     @pytest.mark.parametrize("n_layers", [1, 2, 4])
-    def test_cached_step_creates_five_tensors_per_layer(self, n_layers):
-        # per layer: the attention block, the MoE's norm, gate matmul and
-        # dispatch, and its residual add; then the embedding take, the final
-        # norm and the LM head's product
+    def test_cached_step_creates_two_tensors_per_layer(self, n_layers):
+        # per layer: the attention block and the MoE block; then the
+        # embedding take and the LM head
         cfg = tiny_config(n_layers=n_layers)
         params = init_params(cfg, seed=28)
         cache = KVCache(params, cfg)
         forward_incremental(params, cfg, np.array([1, 2, 3]), cache)
         before = Tensor(0).node_id
         forward_incremental(params, cfg, np.array([4]), cache)
-        assert Tensor(0).node_id - before - 1 == 5 * n_layers + 3
+        assert Tensor(0).node_id - before - 1 == 2 * n_layers + 2
 
     def test_incremental_rejects_overflowing_cache(self):
         cfg = tiny_config(max_seq_len=8)
@@ -544,14 +579,24 @@ class TestGeneration:
              ["params", "config", "prompt_ids", "max_new_tokens", "eos_id", "top_k"]),
             (model.forward_incremental, ["params", "config", "new_tokens", "cache", "top_k"]),
             (training.make_batch_arrays, ["batch", "pad_id"]),
-            (model.moe_forward_task, ["x", "params", "task_expert", "k"]),
-            (model.moe_forward_infer, ["x", "params", "k"]),
+            (model.moe_forward_task, ["x", "params", "task_expert", "k", "norm", "eps"]),
+            (model.moe_forward_infer, ["x", "params", "k", "norm", "eps"]),
         ):
             sig = inspect.signature(fn).parameters
             assert list(sig) == names, fn.__name__
             assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in sig.values())
         for fn in (model.generate, model.forward_incremental):
             assert inspect.signature(fn).parameters["top_k"].default is None
+
+
+def saved_arrays(cells):
+    """The arrays among a closure's cell contents, also inside lists and
+    tuples."""
+    for c in cells:
+        if isinstance(c, np.ndarray):
+            yield c
+        elif isinstance(c, (list, tuple)):
+            yield from saved_arrays(c)
 
 
 # Greedy decoding of ``chain_model`` steps each id by +5 (mod 19), so the
