@@ -199,9 +199,19 @@ def rms_norm_forward(x: np.ndarray, weight: np.ndarray, eps: float) -> tuple[np.
     """Root-mean-square normalization over the last axis with a learned
     scale: the normed rows ``x * r * weight`` and each row's scale r = 1 /
     rms, [..., 1]. A node that saves r rebuilds the normed rows bitwise from
-    x; r is also all ``rms_norm_backward`` needs besides x."""
-    r = 1.0 / np.sqrt(np.square(x).sum(axis=-1, keepdims=True) / x.shape[-1] + eps)
-    return x * r * weight, r
+    x; r is also all ``rms_norm_backward`` needs besides x.
+
+    The ops are those of ``x * (1 / sqrt(sum(x^2) / d + eps)) * weight``, in
+    that order, with each temporary reused in place."""
+    h = np.square(x)
+    r = np.add.reduce(h, axis=-1, keepdims=True)
+    r /= x.shape[-1]
+    r += eps
+    np.sqrt(r, out=r)
+    np.divide(1.0, r, out=r)
+    np.multiply(x, r, out=h)
+    h *= weight
+    return h, r
 
 
 def rms_norm_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray,

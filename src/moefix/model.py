@@ -167,14 +167,20 @@ def rope_tables(config: ModelConfig, positions: np.ndarray, dtype) -> tuple[np.n
 # Query rows per attention block. It bounds the scores held at once to
 # [B, H, 64, keys], and it lets each block skip the keys past its last row.
 _BLOCK = 64
+# ``_HIDDEN[i, j]``: whether the key j + 1 positions after a block's first
+# row lies after row i. A block of r rows at consecutive positions hides
+# ``_HIDDEN[:r, :r - 1]`` from the key after its first row on; the pattern
+# does not depend on where the block starts.
+_HIDDEN = np.arange(1, _BLOCK) > np.arange(_BLOCK)[:, None]
+_HIDDEN.setflags(write=False)
 
 
 @dataclass
 class RowLayout:
     """Where the n flat rows of B sequences sit in the [B, H, T, hd] heads of
-    attention, and each row's rotary turn; built once per forward pass (by
-    ``row_layout``, or ``KVCache.layout`` for a cached step) and shared by
-    every layer.
+    attention, each row's rotary turn, and the query blocks attention runs
+    over them; built once per forward pass (by ``row_layout``, or
+    ``KVCache.layout`` for a cached step) and shared by every layer.
 
     The sequences are sorted longest first, so the sequences still longer
     than a query block's start are a prefix of the heads.
@@ -183,9 +189,9 @@ class RowLayout:
     shape: tuple[int, int]  # (B, T): sequences, and rows of the longest
     seq: np.ndarray     # [n] slot of each row's sequence in the heads
     pos: np.ndarray     # [n] position of each row in its sequence
-    longer: np.ndarray  # [blocks] sequences longer than each block's start
     turn: np.ndarray    # [n, 2, 1, hd/2] each row's ``_turns``
     start: int          # position of each sequence's first row
+    blocks: list        # the ``_query_blocks`` plan of every row as a query
 
 
 def _turns(config: ModelConfig, positions: np.ndarray, dtype) -> np.ndarray:
@@ -195,6 +201,34 @@ def _turns(config: ModelConfig, positions: np.ndarray, dtype) -> np.ndarray:
     turn = (cos + 1j * sin).astype(np.result_type(dtype, np.complex64))
     scale = np.asarray(1.0 / np.sqrt(config.head_dim), dtype=dtype)
     return np.stack([turn * scale, turn], axis=1)
+
+
+# The read-only ``_turns`` of positions 0 to max_seq_len - 1, one entry per
+# (head_dim, rope_base, max_seq_len, dtype); every KVCache of a key shares it.
+_POSITION_TURNS: dict[tuple, np.ndarray] = {}
+
+
+def _position_turns(config: ModelConfig, dtype) -> np.ndarray:
+    key = (config.head_dim, config.rope_base, config.max_seq_len, np.dtype(dtype))
+    turns = _POSITION_TURNS.get(key)
+    if turns is None:
+        turns = _turns(config, np.arange(config.max_seq_len), dtype)
+        turns.setflags(write=False)
+        _POSITION_TURNS[key] = turns
+    return turns
+
+
+def _blocks(start: int, t: int, live) -> list:
+    """The plan of ``_query_blocks`` when each of t rows after ``start`` is a
+    query at its own slot; ``live[i]`` counts the sequences longer than block
+    i's start."""
+    plan = []
+    for block, lo in enumerate(range(0, t, _BLOCK)):
+        hi = min(lo + _BLOCK, t)
+        r = hi - lo
+        plan.append((lo, hi, live[block], (start + lo + 1, _HIDDEN[:r, :r - 1]) if r > 1 else None,
+                     start + hi))
+    return plan
 
 
 def row_layout(config: ModelConfig, lengths, dtype) -> RowLayout:
@@ -207,8 +241,8 @@ def row_layout(config: ModelConfig, lengths, dtype) -> RowLayout:
     slot[order] = np.arange(b)
     pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     longer = np.searchsorted(-lengths[order], -np.arange(0, t, _BLOCK))
-    return RowLayout((b, t), np.repeat(slot, lengths), pos, longer,
-                     _turns(config, np.arange(t), dtype)[pos], 0)
+    return RowLayout((b, t), np.repeat(slot, lengths), pos,
+                     _turns(config, np.arange(t), dtype)[pos], 0, _blocks(0, t, longer.tolist()))
 
 
 def _pair_order(config: ModelConfig) -> np.ndarray:
@@ -227,16 +261,17 @@ def _fused_projection(layer: LayerParams, config: ModelConfig) -> np.ndarray:
     return np.concatenate([layer.wq.data[:, cols], layer.wk.data[:, cols], layer.wv.data], axis=1)
 
 
-def _block_scores(q: np.ndarray, k_t: np.ndarray, qpos: np.ndarray, n_keys: int) -> np.ndarray:
-    """Scores [rows, H, r, n_keys] of a block of r query rows at positions
-    ``qpos`` (broadcast to [rows, 1, r, 1]) against the first ``n_keys`` keys;
-    ``k_t`` holds the keys transposed, [rows, H, hd, keys]. The keys up to
-    the block's lowest position are visible to every row; past it, a key
-    after its query's position gets -inf."""
+def _block_scores(q: np.ndarray, k_t: np.ndarray, mask, n_keys: int) -> np.ndarray:
+    """Scores [rows, H, r, n_keys] of a block of r query rows against the
+    first ``n_keys`` keys; ``k_t`` holds the keys transposed, [rows, H, hd,
+    keys]. ``mask`` is None when every row sees every key, else (low,
+    hidden): every row sees the keys before ``low``, and from ``low`` on,
+    the keys ``hidden`` marks (it broadcasts against the scores) lie after
+    their row's position and get -inf."""
     s = q @ k_t[..., :n_keys]
-    low = int(qpos.min()) + 1
-    if low < n_keys:
-        np.copyto(s[..., low:], -np.inf, where=np.arange(low, n_keys) > qpos)
+    if mask is not None:
+        low, hidden = mask
+        np.copyto(s[..., low:], -np.inf, where=hidden)
     return s
 
 
@@ -245,21 +280,17 @@ def _query_blocks(rows: RowLayout, queries: np.ndarray | None):
     blocks of ``_BLOCK`` query slots that attention runs.
 
     Returns (slot, index) of each query row in the heads, tq, and per block
-    (lo, hi, live, qpos, n_keys): its slots lo:hi of the first ``live``
-    sequences, their positions, and the keys the block reads. Without
-    ``queries`` every row is a query, at its own position in the heads.
-    With them (sorted row indices), a sequence's queries fill its slots in
-    order; an empty slot gets position t, so it masks no key and its
-    scores stay finite, and it is never read.
+    (lo, hi, live, mask, n_keys): its slots lo:hi of the first ``live``
+    sequences, the ``_block_scores`` mask of their positions, and the keys
+    the block reads. Without ``queries`` every row is a query, at its own
+    position in the heads, and the plan is the layout's own. With them
+    (sorted row indices), a sequence's queries fill its slots in order; an
+    empty slot gets position t, so it masks no key and its scores stay
+    finite, and it is never read.
     """
     b, t = rows.shape
     if queries is None:
-        plan = []
-        for block, lo in enumerate(range(0, t, _BLOCK)):
-            hi = min(lo + _BLOCK, t)
-            plan.append((lo, hi, rows.longer[block], rows.start + np.arange(lo, hi)[:, None],
-                         rows.start + hi))
-        return rows.seq, rows.pos, t, plan
+        return rows.seq, rows.pos, t, rows.blocks
     slot, pos = rows.seq[queries], rows.pos[queries]
     m = len(queries)
     first = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])  # a sequence's first query
@@ -273,7 +304,10 @@ def _query_blocks(rows: RowLayout, queries: np.ndarray | None):
         hi = min(lo + _BLOCK, tq)
         live = np.flatnonzero(counts > lo)[-1] + 1
         qpos = grid[:live, lo:hi]
-        plan.append((lo, hi, live, qpos[:, None, :, None], int(qpos[qpos < t].max()) + 1))
+        n_keys = int(qpos[qpos < t].max()) + 1
+        low = int(qpos.min()) + 1
+        hidden = np.arange(low, n_keys) > qpos[:, None, :, None]
+        plan.append((lo, hi, live, (low, hidden) if low < n_keys else None, n_keys))
     return slot, index, tq, plan
 
 
@@ -346,7 +380,7 @@ def causal_attention(
             q, k, v = heads
         else:
             q = np.ascontiguousarray(np.swapaxes(qkv[:, 0], 0, 1))[None]
-            k, v = cache.write(layer_index, qkv[:, 1], qkv[:, 2])
+            k, v = cache.write(layer_index, qkv[:, 1:])
     else:
         kv = (xn @ w_qkv[:, d:]).reshape(n, 2, h, hd)
         k_turned = kv[:, 0].view(complex_dtype)
@@ -364,8 +398,8 @@ def causal_attention(
         k_t = np.ascontiguousarray(k_t)
     merged = np.empty_like(q)  # head outputs
     lse = np.empty(q.shape[:3], dtype=dtype) if save else None
-    for lo, hi, live, qpos, n_keys in plan:
-        s = _block_scores(q[:live, :, lo:hi], k_t[:live], qpos, n_keys)
+    for lo, hi, live, mask, n_keys in plan:
+        s = _block_scores(q[:live, :, lo:hi], k_t[:live], mask, n_keys)
         peak = s.max(axis=-1, keepdims=True)
         s -= peak
         np.exp(s, out=s)
@@ -375,8 +409,12 @@ def causal_attention(
         o /= total
         if save:
             lse[:live, :, lo:hi] = (peak + np.log(total))[..., 0]
-    merged = merged[slot, :, index].reshape(m, d)
-    out = (x.data if queries is None else x.data[queries]) + merged @ layer.wo.data
+    if cache is None:
+        merged = merged[slot, :, index].reshape(m, d)
+    else:  # one sequence, every row a query at its own slot
+        merged = np.swapaxes(merged[0], 0, 1).reshape(m, d)
+    out = merged @ layer.wo.data
+    out += x.data if queries is None else x.data[queries]
     if not save:
         return Tensor(out)
 
@@ -393,8 +431,8 @@ def causal_attention(
         dq = np.empty_like(q)
         dk = np.zeros_like(k)
         dv = np.zeros_like(v)
-        for lo, hi, live, qpos, n_keys in plan:
-            p = _block_scores(q[:live, :, lo:hi], k_t[:live], qpos, n_keys)
+        for lo, hi, live, mask, n_keys in plan:
+            p = _block_scores(q[:live, :, lo:hi], k_t[:live], mask, n_keys)
             p -= lse[:live, :, lo:hi, None]
             np.exp(p, out=p)
             d_o = d_out[:live, :, lo:hi]
@@ -427,37 +465,40 @@ class KVCache:
     """Per-layer key/value buffers of one sequence for incremental greedy
     decoding, built whole for the weights and precision of ``params``.
 
-    ``k[i]`` and ``v[i]`` are [1, H, max_seq_len, head_dim] buffers written
-    in place; only the first ``length`` positions hold keys and values. The
-    keys are rotated, with each head's features in ``_pair_order``. Cached
-    keys and values hold only for the weights that made them, so the cache
-    also keeps each layer's fused projection ``w_qkv[i]`` and the rotary
-    turns of every position.
+    ``k[i]`` and ``v[i]`` are [1, H, max_seq_len, head_dim] views, written
+    in place, into one buffer that the cache allocates once and never
+    clears; only the first ``length`` positions hold keys and values, and no
+    pass reads past them. The lists and their arrays stay the same objects
+    for the cache's life. The keys are rotated, with each head's features in
+    ``_pair_order``. Cached keys and values hold only for the weights that
+    made them, so the cache also keeps each layer's fused projection
+    ``w_qkv[i]``, and it reads the rotary turns of every position from
+    ``_position_turns``, shared and read-only.
     """
 
     def __init__(self, params: TransformerParams, config: ModelConfig) -> None:
         dtype = params.embedding.dtype
-        shape = (1, config.n_heads, config.max_seq_len, config.head_dim)
-        self.k = [np.zeros(shape, dtype=dtype) for _ in params.layers]
-        self.v = [np.zeros(shape, dtype=dtype) for _ in params.layers]
+        self._kv = list(np.empty((len(params.layers), 2, 1, config.n_heads, config.max_seq_len,
+                                  config.head_dim), dtype=dtype))  # per layer [2, 1, H, S, hd]
+        self.k = [kv[0] for kv in self._kv]
+        self.v = [kv[1] for kv in self._kv]
         self.w_qkv = [_fused_projection(layer, config) for layer in params.layers]
-        self.turns = _turns(config, np.arange(config.max_seq_len), dtype)
+        self.turns = _position_turns(config, dtype)
         self.length = 0
 
     def layout(self, t: int) -> RowLayout:
         """The layout of t tokens right after the cached prefix."""
-        blocks = -(-t // _BLOCK)
+        start = self.length
         return RowLayout((1, t), np.zeros(t, dtype=np.int64), np.arange(t),
-                         np.ones(blocks, dtype=np.int64),
-                         self.turns[self.length:self.length + t], self.length)
+                         self.turns[start:start + t], start,
+                         _blocks(start, t, [1] * -(-t // _BLOCK)))
 
-    def write(self, i: int, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Store the [t, H, hd] keys/values of the t positions after the
-        prefix; return [1, H, length + t, hd] views of layer ``i``'s keys and
-        values over the prefix plus the new positions."""
-        end = self.length + len(k)
-        self.k[i][0, :, self.length:end] = np.swapaxes(k, 0, 1)
-        self.v[i][0, :, self.length:end] = np.swapaxes(v, 0, 1)
+    def write(self, i: int, kv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Store the [t, 2, H, hd] keys and values of the t positions after
+        the prefix; return [1, H, length + t, hd] views of layer ``i``'s keys
+        and values over the prefix plus the new positions."""
+        end = self.length + len(kv)
+        self._kv[i][:, 0, :, self.length:end] = kv.transpose(1, 2, 0, 3)
         return self.k[i][:, :, :end], self.v[i][:, :, :end]
 
     def truncate(self, length: int) -> None:
@@ -510,10 +551,11 @@ def forward(
     """
     tokens = np.asarray(tokens)
     n = len(tokens)
-    if cache is not None and lengths is not None:
+    packed = lengths is not None
+    if cache is not None and packed:
         raise ValueError("the KV cache path takes one sequence, without lengths")
-    lengths = np.array([n]) if lengths is None else np.asarray(lengths)
-    if tokens.ndim != 1 or lengths.sum() != n:
+    lengths = np.asarray(lengths) if packed else np.array([n])
+    if tokens.ndim != 1 or packed and lengths.sum() != n:
         raise ValueError(f"lengths summing to {lengths.sum()} do not pack tokens of shape "
                          f"{tokens.shape}")
     rows = row_layout(config, lengths, params.embedding.dtype) if cache is None else cache.layout(n)
@@ -565,16 +607,17 @@ def _lookup(context: np.ndarray, limit: int) -> np.ndarray:
     ``context``; none when its last id occurs nowhere before. This is
     reference-based drafting (LLMA, Yang et al. 2023): a corrector mostly
     copies its prompt, so the context predicts what follows."""
-    n = len(context)
-    ends = np.ones(n - 1, dtype=bool)  # where an earlier occurrence of the suffix may end
+    n, width = len(context), context.itemsize
+    ids = context.tobytes()
     last = None
     for g in range(1, min(_NGRAM, n - 1) + 1):
-        ends[:g - 1] = False
-        ends[g - 1:] &= context[:n - g] == context[n - g]
-        hits = np.flatnonzero(ends)
-        if not hits.size:
+        suffix = ids[(n - g) * width:]
+        at = ids.rfind(suffix, 0, (n - 1) * width)  # an earlier occurrence ends before the last id
+        while at > 0 and at % width:  # a byte match that straddles ids: look further back
+            at = ids.rfind(suffix, 0, at + len(suffix) - 1)
+        if at < 0:
             break
-        last = hits[-1]
+        last = at // width + g - 1
     return context[:0] if last is None else context[last + 1:last + 1 + limit]
 
 
@@ -596,11 +639,11 @@ def generate(
     emission order; a draft never takes the cache past ``max_seq_len`` or the
     output past ``max_new_tokens``.
     """
+    if max_new_tokens < 1:
+        return np.zeros(0, dtype=np.int64)
     prompt = np.asarray(prompt_ids)
     cache = KVCache(params, config)
     logits, _ = forward_incremental(params, config, prompt, cache, top_k)
-    if max_new_tokens < 1:
-        return np.zeros(0, dtype=np.int64)
     p = n = len(prompt)
     context = np.empty(p + max_new_tokens, dtype=np.int64)  # prompt, output, draft
     context[:p] = prompt

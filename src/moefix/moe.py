@@ -8,6 +8,7 @@ while the gate still learns to share.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ def _topk(logits: np.ndarray, k: int) -> np.ndarray:
     n = logits.shape[-1]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} experts")
-    return np.argsort(-logits, axis=-1, kind="stable")[..., :k]
+    return (-logits).argsort(axis=-1, kind="stable")[..., :k]
 
 
 _TILE_ROWS = 128  # rows per tile of the SwiGLU backward: its buffers stay in cache
@@ -75,14 +76,16 @@ def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
 
     The dispatch is dropless and sorted: one stable argsort orders the n*k
     (row, slot) pairs by expert, so each expert runs once on a contiguous
-    block of its rows, in token order. The combine is the inverse
-    permutation, a reshape to [n, k, d] and a sum over k, so neither pass
-    scatter-adds.
+    block of its rows, in token order. The expert projections write into
+    [n*k, d_ff] buffers in that order, so the SwiGLU product runs once over
+    the slots of every expert. The combine is the inverse permutation, a
+    reshape to [n, k, d] and a sum over k, so neither pass scatter-adds.
 
     The node's parents are ``x``, ``norm``, the gate and every expert
-    matrix. In a graph it saves each row's norm scale, the weights, the sort
-    and each expert's two input projections, nothing when outside one. The
-    backward pass rebuilds the normed rows, recomputes the sigmoid and runs
+    matrix; outside a graph they are never gathered. In a graph it saves
+    each row's norm scale, the weights, the sort and the two input
+    projections of every slot, nothing when outside one. The backward pass
+    rebuilds the normed rows, recomputes the sigmoid and runs
     the SwiGLU chain rule over tiles of ``_TILE_ROWS`` rows in two reused
     buffers, with every product in the forward formula's operand order, so
     the gradients are bitwise those of the whole-block formula. The gate
@@ -100,32 +103,45 @@ def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
         ranked[np.arange(n), forced] = np.inf
     idx = _topk(ranked, k)
     picked = (np.arange(n)[:, None], idx)
-    z = logits[picked]  # [n, k]
-    w = np.exp(z - z.max(axis=1, keepdims=True))
+    w = logits[picked]  # [n, k]: the selected logits, then their softmax
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
     w /= w.sum(axis=1, keepdims=True)
     decision = RoutingDecision(indices=idx, weights=w, task_forced=forced)
-    parents = (x, norm, params.gate) + tuple(
-        t for ex in experts for t in (ex.up, ex.gate_proj, ex.down))
-    save = ad.recording(parents)
+    save = ad.active_graph() is not None  # the parents are gathered only for a graph
+    if save:
+        parents = (x, norm, params.gate) + tuple(
+            t for ex in experts for t in (ex.up, ex.gate_proj, ex.down))
+        save = ad.recording(parents)
     slot_expert = idx.ravel()
-    order = np.argsort(slot_expert, kind="stable")
-    bounds = np.searchsorted(slot_expert[order], np.arange(len(experts) + 1))
+    order = slot_expert.argsort(kind="stable")
+    bounds = [0, *itertools.accumulate(np.bincount(slot_expert, minlength=len(experts)).tolist())]
     hs = h[order // k]  # [n*k, d], grouped by expert
-    ys = np.empty_like(hs)
-    saved = [None] * len(experts)
+    h_gate = np.empty((n * k, experts[0].up.data.shape[1]), dtype=hs.dtype)
+    h_up = np.empty_like(h_gate)
     for e, expert in enumerate(experts):
         lo, hi = bounds[e], bounds[e + 1]
-        if lo == hi:
-            continue
-        h_gate = hs[lo:hi] @ expert.gate_proj.data
-        h_up = hs[lo:hi] @ expert.up.data
-        sig = 1.0 / (1.0 + np.exp(-h_gate))
-        ys[lo:hi] = (h_gate * sig * h_up) @ expert.down.data
-        if save:
-            saved[e] = (h_gate, h_up)  # the sigmoid and products are recomputed: less to hold
+        if lo < hi:
+            np.matmul(hs[lo:hi], expert.gate_proj.data, out=h_gate[lo:hi])
+            np.matmul(hs[lo:hi], expert.up.data, out=h_up[lo:hi])
+    gated = np.negative(h_gate)  # h_gate * sigmoid(h_gate) * h_up, every expert at once
+    np.exp(gated, out=gated)
+    gated += 1.0
+    np.divide(1.0, gated, out=gated)
+    gated *= h_gate
+    gated *= h_up
+    ys = np.empty_like(hs)
+    for e, expert in enumerate(experts):
+        lo, hi = bounds[e], bounds[e + 1]
+        if lo < hi:
+            np.matmul(gated[lo:hi], expert.down.data, out=ys[lo:hi])
+    del gated  # freed before the combine allocates
     y = np.empty_like(ys)
     y[order] = ys
-    out = x.data + (y.reshape(n, k, d) * w[:, :, None]).sum(axis=1)
+    y = y.reshape(n, k, d)
+    y *= w[:, :, None]
+    out = np.add.reduce(y, axis=1)
+    out += x.data
     if not save:
         return Tensor(out), decision
 
@@ -139,18 +155,18 @@ def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
         sig = np.empty((_TILE_ROWS, experts[0].up.data.shape[1]), dtype=hs.dtype)
         act = np.empty_like(sig)
         for e, expert in enumerate(experts):
-            if saved[e] is None:
+            lo, hi = bounds[e], bounds[e + 1]
+            if lo == hi:
                 g_params += [None, None, None]
                 continue
-            lo, hi = bounds[e], bounds[e + 1]
-            h_gate, h_up = saved[e]
             g_gated = g_ys[lo:hi] @ expert.down.data.T
             gated = np.empty_like(g_gated)
             g_h_up = np.empty_like(g_gated)
             g_h_gate = g_gated  # overwritten tile by tile, each after its last read
             for i0 in range(0, hi - lo, _TILE_ROWS):
                 i1 = min(i0 + _TILE_ROWS, hi - lo)
-                hg, hu, gg, s, t = h_gate[i0:i1], h_up[i0:i1], g_gated[i0:i1], sig[:i1 - i0], act[:i1 - i0]
+                hg, hu, gg, s, t = (h_gate[lo + i0:lo + i1], h_up[lo + i0:lo + i1], g_gated[i0:i1],
+                                    sig[:i1 - i0], act[:i1 - i0])
                 np.negative(hg, out=s)  # sig = 1 / (1 + exp(-h_gate))
                 np.exp(s, out=s)
                 np.add(1.0, s, out=s)

@@ -280,6 +280,20 @@ def greedy_reference(params, config, prompt, max_new_tokens, eos_id, top_k=None)
     return np.array(out, dtype=np.int64)
 
 
+def lookup_reference(context, limit: int) -> list[int]:
+    """Brute force, the oracle for ``model._lookup``: the ids, up to
+    ``limit``, after the latest earlier occurrence of the longest suffix of
+    ``context`` that has one, of at most ``model._NGRAM`` ids; an earlier
+    occurrence ends before the last id."""
+    c = [int(i) for i in context]
+    n = len(c)
+    for g in range(min(model._NGRAM, n - 1), 0, -1):
+        for end in range(n - 2, g - 2, -1):
+            if c[end - g + 1:end + 1] == c[n - g:]:
+                return c[end + 1:end + 1 + limit]
+    return []
+
+
 def rewrite_header(src, dst, edit):
     """Copy the checkpoint file ``src`` to ``dst`` with its JSON header
     passed through ``edit``; returns ``dst``."""

@@ -76,6 +76,20 @@ class TestRmsNorm:
         want = np.array([x[i] * scale * w[i] for i in range(6)])
         assert np.abs(got - want).max() < 1e-10
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("rows", [1, 2, 4054])
+    def test_forward_is_bitwise_the_textbook_formula(self, dtype, rows):
+        # training and decoding numerics of every norm rest on these bits
+        rng = np.random.default_rng(rows)
+        d, eps = 128, 1e-5
+        x = (3.0 * rng.normal(size=(rows, d))).astype(dtype)
+        w = rng.normal(size=d).astype(dtype)
+        r = 1.0 / np.sqrt(np.square(x).sum(-1, keepdims=True) / d + eps)
+        got, got_r = ad.rms_norm_forward(x, w, eps)
+        assert got.dtype == got_r.dtype == dtype
+        assert got_r.tobytes() == r.tobytes()
+        assert got.tobytes() == (x * r * w).tobytes()
+
 
 class TestCrossEntropy:
     def test_confident_correct_logits(self):

@@ -21,7 +21,7 @@ from moefix.model import (
     rope_tables,
     row_layout,
 )
-from helpers import (add, attention_block_reference, gradcheck, greedy_reference,
+from helpers import (add, attention_block_reference, gradcheck, greedy_reference, lookup_reference,
                      matmul_nt, moe_block_reference, mul, rms_norm, sum_, swiglu_reference)
 
 
@@ -570,6 +570,52 @@ class TestGeneration:
         with pytest.raises(ValueError, match="truncate a cache of 9 positions to 10"):
             cache.truncate(10)
 
+    def test_cache_arrays_keep_their_identity_across_passes_and_truncation(self):
+        # callers that watch for copied cache arrays (the benchmark's tracer
+        # among them) compare ``k`` and ``v`` by identity
+        cfg = tiny_config(n_layers=3)
+        params = init_params(cfg, seed=30)
+        cache = KVCache(params, cfg)
+        k, v = cache.k, cache.v
+        arrays = k + v
+        assert len(k) == len(v) == cfg.n_layers
+        shape = (1, cfg.n_heads, cfg.max_seq_len, cfg.head_dim)
+        assert all(isinstance(a, np.ndarray) and a.shape == shape for a in arrays)
+        tokens = np.random.default_rng(9).integers(0, cfg.vocab_size, size=10)
+        forward_incremental(params, cfg, tokens[:5], cache)
+        forward_incremental(params, cfg, tokens[5:8], cache)
+        cache.truncate(6)
+        forward_incremental(params, cfg, tokens[6:], cache)
+        assert cache.k is k and cache.v is v
+        assert all(a is b for a, b in zip(cache.k + cache.v, arrays))
+
+    def test_rotary_turns_are_shared_read_only_per_precision_and_length(self):
+        cfg = tiny_config()
+        f32 = init_params(cfg, seed=31, dtype="f32")
+        turns = KVCache(f32, cfg).turns
+        assert KVCache(f32, cfg).turns is turns
+        assert np.array_equal(turns, model._turns(cfg, np.arange(cfg.max_seq_len), np.float32))
+        with pytest.raises(ValueError, match="read-only"):
+            turns[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            KVCache(f32, cfg).layout(2).turn[:] = 0
+        f64 = KVCache(init_params(cfg, seed=31, dtype="f64"), cfg).turns
+        assert f64.dtype == np.complex128 and turns.dtype == np.complex64
+        longer = KVCache(f32, replace(cfg, max_seq_len=48)).turns
+        other_base = KVCache(f32, replace(cfg, rope_base=500.0)).turns
+        assert len(longer) == 48 and not np.array_equal(other_base, turns)
+        assert len({id(t) for t in (turns, f64, longer, other_base)}) == 4
+
+    def test_generate_asked_for_nothing_runs_no_pass(self, monkeypatch):
+        cfg = tiny_config(max_seq_len=16)
+        params = init_params(cfg, seed=29)
+        passes = record_passes(monkeypatch)
+        ids = np.arange(20) % cfg.vocab_size
+        for prompt in (ids[:10], ids):  # the second is longer than max_seq_len
+            out = generate(params, cfg, prompt, 0, cfg.vocab_size - 1)
+            assert out.dtype == np.int64 and len(out) == 0
+        assert passes == []
+
     def test_positional_signatures_of_benchmark_hooks(self):
         # callers that wrap these functions (the benchmark's tracer among
         # them) read the arguments by position, under these names
@@ -587,6 +633,55 @@ class TestGeneration:
             assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in sig.values())
         for fn in (model.generate, model.forward_incremental):
             assert inspect.signature(fn).parameters["top_k"].default is None
+
+
+class TestLookup:
+    @staticmethod
+    def check(context, limit):
+        context = np.asarray(context, dtype=np.int64)
+        got = model._lookup(context, limit)
+        assert got.dtype == context.dtype
+        assert got.tolist() == lookup_reference(context, limit)
+        return got.tolist()
+
+    @pytest.mark.parametrize("vocab", [2, 3, 7, 300, 70000, 2**40])
+    def test_matches_the_brute_force_oracle_on_random_contexts(self, vocab):
+        rng = np.random.default_rng(vocab % 1000)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            self.check(rng.integers(0, vocab, size=n), int(rng.integers(0, 7)))
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 5])
+    def test_matches_the_oracle_on_periodic_contexts(self, period):
+        rng = np.random.default_rng(period)
+        cycle = rng.choice(1000, size=period, replace=False)
+        for n in range(1, 3 * period + 8):
+            for limit in (0, 1, 4):
+                self.check(np.resize(cycle, n), limit)
+        # a prompt, then the run of one id an untrained model emits forever:
+        # the latest earlier occurrence of its suffix ends one id before the
+        # run's end, so the draft is that one id
+        out = 7
+        prompt = rng.integers(8, 40, size=30)
+        for run in range(1, 8):
+            context = np.r_[prompt, out, rng.integers(8, 40, size=5), np.full(run, out)]
+            draft = self.check(context, 4)
+            assert draft == (list(context[31:35]) if run == 1 else [out])
+
+    def test_no_earlier_occurrence_gives_no_draft(self):
+        assert self.check([5], 4) == []
+        assert self.check(np.arange(50), 4) == []
+        assert self.check([3, 3, 3, 9], 4) == []
+
+    def test_limit_zero_gives_no_draft(self):
+        assert self.check([1, 2, 1, 2, 1], 0) == []
+
+    def test_ids_past_one_byte_match_whole_ids_only(self):
+        # 256 holds the byte of id 1 at its second byte: no match across ids
+        assert self.check([256, 0, 1], 4) == []
+        assert self.check([1, 7, 256, 0, 1], 4) == [7, 256, 0, 1]
+        assert self.check([2**32 + 5, 5, 2**32 + 5, 9, 5], 2) == [2**32 + 5, 9]
+        assert self.check([65536, 256, 1, 65536, 256], 3) == [1, 65536, 256]
 
 
 def saved_arrays(cells):
