@@ -217,24 +217,40 @@ def rms_norm_forward(x: np.ndarray, weight: np.ndarray, eps: float) -> tuple[np.
 def rms_norm_backward(g: np.ndarray, x: np.ndarray, weight: np.ndarray,
                       r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients of x and weight of ``rms_norm_forward`` at output gradient
-    ``g``, from x and the scale ``r`` it returned."""
+    ``g``, from x and the scale ``r`` it returned: ``gx = r * (g * w - x *
+    r^2 * s / d)`` with ``s = sum_j(g_j w_j x_j)`` per row, and ``gw = (g *
+    x)^T r``, over two full-size temporaries."""
     d = x.shape[-1]
-    gw_term = g * weight
-    # d/dx of x_i * r(x): r * g_i - x_i * r^3 * sum_j(g_j w_j x_j) / d
-    s = (gw_term * x).sum(axis=-1, keepdims=True)
-    gx = r * gw_term - x * (r**3) * (s / d)
-    gw = (g * x * r).reshape(-1, d).sum(axis=0)
-    return gx, gw
+    g2, x2, r2 = g.reshape(-1, d), x.reshape(-1, d), r.reshape(-1, 1)
+    gx = g2 * weight
+    c = np.einsum("ij,ij->i", gx, x2)[:, None]  # s, then r^2 * s / d
+    c *= r2
+    c *= r2
+    c /= d
+    t = x2 * c
+    gx -= t
+    gx *= r2
+    np.multiply(g2, x2, out=t)
+    return gx.reshape(x.shape), (t.T @ r2)[:, 0]
 
 
 def take(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Gather along the first axis; backward scatter-adds (duplicate ids sum)."""
+    """Gather along the first axis; backward scatter-adds (duplicate ids sum).
+
+    The backward pass sorts the ids once and sums each id's run of rows with
+    one ``np.add.reduceat``, in the ids' order, instead of ``np.add.at``."""
     idx = np.asarray(idx)
     out = x.data[idx]
 
     def bwd(g):
         gx = np.zeros_like(x.data)
-        np.add.at(gx, idx, g)
+        flat = idx.ravel()
+        if flat.size:
+            order = np.argsort(flat, kind="stable")
+            ids = flat[order]
+            first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+            rows = g.reshape(flat.size, *x.data.shape[1:])[order]
+            gx[ids[first]] = np.add.reduceat(rows, first, axis=0)
         return (gx,)
 
     return _node(out, (x,), bwd)

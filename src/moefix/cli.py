@@ -376,8 +376,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .training import NoUsableSamples, NumericalError
+    from .training import NoUsableSamples, NumericalError, _keep_freed_memory
 
+    _keep_freed_memory()  # every command frees and reallocates large arrays
     try:
         return args.func(args)
     except NumericalError as exc:

@@ -311,6 +311,93 @@ def _query_blocks(rows: RowLayout, queries: np.ndarray | None):
     return slot, index, tq, plan
 
 
+# Sequences per group of the attention block loop: a group's transposed keys
+# and values and its [G, H, 64, keys] scores are all of the loop's working set.
+_GROUP = 4
+
+
+def _group_blocks(plan, b: int) -> list:
+    """The block ``plan`` of b sequences' heads (see ``_query_blocks``), run
+    in groups of ``_GROUP`` sequences: each group's first sequence s0 and
+    the blocks that reach it, each (lo, hi, live, mask, n_keys) with
+    ``live`` counted from s0. A loss-row plan's mask holds one row per
+    sequence and is cut to the group's; the keys a block reads stay the
+    plan's, so each sequence's scores are those of the whole-batch loop."""
+    if b <= _GROUP:  # one group: the plan itself
+        return [(0, plan)]
+    groups = []
+    for s0 in range(0, b, _GROUP):
+        blocks = []
+        for lo, hi, live, mask, n_keys in plan:
+            if live > s0:
+                end = min(live, s0 + _GROUP)
+                if mask is not None and mask[1].ndim == 4:
+                    mask = (mask[0], mask[1][s0:end])
+                blocks.append((lo, hi, end - s0, mask, n_keys))
+        if not blocks:  # no later group has a live sequence either
+            break
+        groups.append((s0, blocks))
+    return groups
+
+
+def _keys_t(k: np.ndarray, s0: int, blocks) -> np.ndarray:
+    """The keys (or values) of the group from sequence s0, transposed to a
+    contiguous [G, H, hd, keys] up to the last key its ``blocks`` read."""
+    return np.ascontiguousarray(
+        np.swapaxes(k[s0:s0 + _GROUP, :, :max(blk[4] for blk in blocks)], -1, -2))
+
+
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, plan, lse: np.ndarray | None = None,
+            copy_keys: bool = True) -> np.ndarray:
+    """The head outputs [B, H, tq, hd] of queries q [B, H, tq, hd] over keys
+    and values k, v [B, H, T, hd], block by block of ``plan``, group by group
+    of ``_GROUP`` sequences. Fills ``lse`` [B, H, tq], if given, with each
+    query's logsumexp. A slot that no block runs is left unwritten.
+    ``copy_keys`` False (one sequence) reads the keys through a transposed
+    view."""
+    merged = np.empty_like(q)
+    for s0, blocks in _group_blocks(plan, len(q)):
+        k_t = _keys_t(k, s0, blocks) if copy_keys else np.swapaxes(k, -1, -2)
+        for lo, hi, live, mask, n_keys in blocks:
+            seqs = slice(s0, s0 + live)
+            s = _block_scores(q[seqs, :, lo:hi], k_t[:live], mask, n_keys)
+            peak = s.max(axis=-1, keepdims=True)
+            s -= peak
+            np.exp(s, out=s)
+            total = s.sum(axis=-1, keepdims=True)
+            o = merged[seqs, :, lo:hi]
+            np.matmul(s, v[seqs, :, :n_keys], out=o)
+            o /= total
+            if lse is not None:
+                lse[seqs, :, lo:hi] = (peak + np.log(total))[..., 0]
+    return merged
+
+
+def _attend_backward(q: np.ndarray, k: np.ndarray, v: np.ndarray, lse: np.ndarray, plan,
+                     d_out: np.ndarray, delta: np.ndarray, dq: np.ndarray, dk: np.ndarray,
+                     dv: np.ndarray) -> None:
+    """The backward pass of ``_attend`` at head-output gradient ``d_out``,
+    with ``delta`` = sum(d_out * out) per query: writes the gradient of q
+    into ``dq`` at the slots the plan runs and adds those of k and v to
+    ``dk`` and ``dv``. Each block's probabilities are recomputed as
+    exp(scores - lse); the groups run outermost, so the transposed keys and
+    values are built one group at a time."""
+    for s0, blocks in _group_blocks(plan, len(q)):
+        k_t, v_t = _keys_t(k, s0, blocks), _keys_t(v, s0, blocks)
+        for lo, hi, live, mask, n_keys in blocks:
+            seqs = slice(s0, s0 + live)
+            p = _block_scores(q[seqs, :, lo:hi], k_t[:live], mask, n_keys)
+            p -= lse[seqs, :, lo:hi, None]
+            np.exp(p, out=p)
+            d_o = d_out[seqs, :, lo:hi]
+            dv[seqs, :, :n_keys] += np.swapaxes(p, -1, -2) @ d_o
+            ds = d_o @ v_t[:live, :, :, :n_keys]
+            ds -= delta[seqs, :, lo:hi, None]
+            ds *= p
+            dq[seqs, :, lo:hi] = ds @ k[seqs, :, :n_keys]
+            dk[seqs, :, :n_keys] += np.swapaxes(ds, -1, -2) @ q[seqs, :, lo:hi]
+
+
 def causal_attention(
     x: Tensor,
     layer: LayerParams,
@@ -328,7 +415,8 @@ def causal_attention(
     laid out by ``rows`` (see ``row_layout``). The norm and the projections
     run on the n rows only, and each sequence attends within itself. Each
     block of ``_BLOCK`` query rows scores only the sequences longer than its
-    start against the keys up to its last position. A query never sees a
+    start against the keys up to its last position, ``_GROUP`` sequences
+    at a time (see ``_attend``). A query never sees a
     position past its own, so the heads of a shorter sequence past its end
     need no key mask: they hold zeros, and their outputs are never read.
 
@@ -340,7 +428,9 @@ def causal_attention(
     In a graph, the node saves q, k and v, the head outputs, each row's
     logsumexp and each row's norm scale, never the probabilities: the
     backward pass recomputes them block by block as exp(scores - logsumexp),
-    and rebuilds the transposed keys and the normed rows.
+    builds the transposed keys and values one group at a time, and rebuilds
+    the normed rows. It frees the head-output gradient, the transposes and
+    its stacked dq/dk/dv buffer before the projection and norm epilogue.
 
     With a ``cache`` (one sequence; inference only), ``x`` holds the tokens
     right after the cached prefix: their keys and values are written into
@@ -393,22 +483,8 @@ def causal_attention(
         k, v = heads
         q = np.zeros((b, h, tq, hd), dtype=dtype)
         q[slot, :, index] = q_rows
-    k_t = np.swapaxes(k, -1, -2)  # scores read keys transposed
-    if cache is None:
-        k_t = np.ascontiguousarray(k_t)
-    merged = np.empty_like(q)  # head outputs
     lse = np.empty(q.shape[:3], dtype=dtype) if save else None
-    for lo, hi, live, mask, n_keys in plan:
-        s = _block_scores(q[:live, :, lo:hi], k_t[:live], mask, n_keys)
-        peak = s.max(axis=-1, keepdims=True)
-        s -= peak
-        np.exp(s, out=s)
-        total = s.sum(axis=-1, keepdims=True)
-        o = merged[:live, :, lo:hi]
-        np.matmul(s, v[:live, :, :n_keys], out=o)
-        o /= total
-        if save:
-            lse[:live, :, lo:hi] = (peak + np.log(total))[..., 0]
+    merged = _attend(q, k, v, plan, lse, copy_keys=cache is None)
     if cache is None:
         merged = merged[slot, :, index].reshape(m, d)
     else:  # one sequence, every row a query at its own slot
@@ -426,32 +502,25 @@ def causal_attention(
         # delta_i = sum_j p_ij dp_ij = dO_i . O_i, so no probability row is kept
         delta = np.zeros_like(lse)
         delta[slot, :, index] = (d_merged * merged.reshape(m, h, hd)).sum(axis=-1)
-        k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))
-        v_t = np.ascontiguousarray(np.swapaxes(v, -1, -2))
-        dq = np.empty_like(q)
-        dk = np.zeros_like(k)
-        dv = np.zeros_like(v)
-        for lo, hi, live, mask, n_keys in plan:
-            p = _block_scores(q[:live, :, lo:hi], k_t[:live], mask, n_keys)
-            p -= lse[:live, :, lo:hi, None]
-            np.exp(p, out=p)
-            d_o = d_out[:live, :, lo:hi]
-            dv[:live, :, :n_keys] += np.swapaxes(p, -1, -2) @ d_o
-            ds = d_o @ v_t[:live, :, :, :n_keys]
-            ds -= delta[:live, :, lo:hi, None]
-            ds *= p
-            dq[:live, :, lo:hi] = ds @ k[:live, :, :n_keys]
-            dk[:live, :, :n_keys] += np.swapaxes(ds, -1, -2) @ q[:live, :, lo:hi]
-        d_qkv = np.zeros((n, 3, h, hd), dtype=dtype)  # no q gradient on a row that is no query
-        d_qkv[slice(None) if queries is None else queries, 0] = dq[slot, :, index]
-        d_qkv[:, 1], d_qkv[:, 2] = dk[seq, :, pos], dv[seq, :, pos]
+        del d_merged
+        d_heads = np.zeros((3, b, h, t, hd), dtype=dtype)  # dq, dk and dv at (seq, pos)
+        dq = d_heads[0] if queries is None else np.empty_like(q)
+        _attend_backward(q, k, v, lse, plan, d_out, delta, dq, d_heads[1], d_heads[2])
+        del d_out, delta
+        if queries is not None:  # a row that is no query keeps a zero q gradient
+            d_heads[0, slot, :, pos[queries]] = dq[slot, :, index]
+        d_qkv = d_heads[:, seq, :, pos]  # [n, 3, H, hd]
+        del dq, d_heads
         d_qk = d_qkv[:, :2].view(complex_dtype)
         d_qk *= rows.turn.conj()
         d_qkv = d_qkv.reshape(n, 3 * d)
-        g_w = (x.data * r * layer.attn_norm.data).T @ d_qkv  # the normed rows, rebuilt
+        xn = x.data * r
+        xn *= layer.attn_norm.data  # the normed rows, rebuilt
+        g_w = xn.T @ d_qkv
+        del xn
         gx, g_norm = ad.rms_norm_backward(d_qkv @ w_qkv.T, x.data, layer.attn_norm.data, r)
         if queries is None:
-            gx = g + gx
+            gx += g
         else:
             gx[queries] += g
         back = np.argsort(_pair_order(config))

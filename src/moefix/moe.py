@@ -61,6 +61,7 @@ def _topk(logits: np.ndarray, k: int) -> np.ndarray:
 
 
 _TILE_ROWS = 128  # rows per tile of the SwiGLU backward: its buffers stay in cache
+_CHUNK_ROWS = 1024  # slots per chunk of the backward pass: its buffers are [chunk, d_ff]
 
 
 def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
@@ -85,10 +86,14 @@ def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
     matrix; outside a graph they are never gathered. In a graph it saves
     each row's norm scale, the weights, the sort and the two input
     projections of every slot, nothing when outside one. The backward pass
-    rebuilds the normed rows, recomputes the sigmoid and runs
-    the SwiGLU chain rule over tiles of ``_TILE_ROWS`` rows in two reused
-    buffers, with every product in the forward formula's operand order, so
-    the gradients are bitwise those of the whole-block formula. The gate
+    rebuilds the normed rows and walks each expert's slots in chunks of
+    ``_CHUNK_ROWS``: it gathers a chunk's normed rows and weighted output
+    gradients, runs the SwiGLU chain rule over tiles of ``_TILE_ROWS`` rows
+    in buffers reused across chunks, with every product in the forward
+    formula's operand order, adds the chunk's input gradient straight into
+    one [n, d] array and sums each expert's weight gradients over its
+    chunks. Within a chunk the gradients are bitwise those of the
+    whole-block formula; at K = 2 so is the input gradient. The gate
     gradient needs no expert output: with ``a[i, j] = w[i, j] * (g[i] .
     y[i, j]) = sum_f(g_gated * gated)``, taken in the tiles, the selected
     logits' gradient is ``a[i, j] - w[i, j] * sum_l a[i, l]``.
@@ -146,53 +151,71 @@ def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
         return Tensor(out), decision
 
     def bwd(g):
-        h = x.data * r * norm.data  # the normed rows, rebuilt
-        hs = h[order // k]
-        g_ys = (g[:, None, :] * w[:, :, None]).reshape(n * k, d)[order]
-        g_hs = np.empty_like(hs)
-        a = np.empty(n * k, dtype=hs.dtype)  # w * (g . y) per slot, in expert order
-        g_params = []
-        sig = np.empty((_TILE_ROWS, experts[0].up.data.shape[1]), dtype=hs.dtype)
+        h = x.data * r
+        h *= norm.data  # the normed rows, rebuilt
+        w_slots = w.ravel()
+        g_h = np.zeros_like(h)
+        a = np.empty(n * k, dtype=h.dtype)  # w * (g . y) per slot, in expert order
+        d_ff = h_gate.shape[1]
+        chunk = min(_CHUNK_ROWS, n * k)
+        g_gated_buf, gated_buf, g_h_up_buf = np.empty((3, chunk, d_ff), dtype=h.dtype)
+        sig = np.empty((_TILE_ROWS, d_ff), dtype=h.dtype)
         act = np.empty_like(sig)
+        g_params = []
         for e, expert in enumerate(experts):
             lo, hi = bounds[e], bounds[e + 1]
             if lo == hi:
                 g_params += [None, None, None]
                 continue
-            g_gated = g_ys[lo:hi] @ expert.down.data.T
-            gated = np.empty_like(g_gated)
-            g_h_up = np.empty_like(g_gated)
-            g_h_gate = g_gated  # overwritten tile by tile, each after its last read
-            for i0 in range(0, hi - lo, _TILE_ROWS):
-                i1 = min(i0 + _TILE_ROWS, hi - lo)
-                hg, hu, gg, s, t = (h_gate[lo + i0:lo + i1], h_up[lo + i0:lo + i1], g_gated[i0:i1],
-                                    sig[:i1 - i0], act[:i1 - i0])
-                np.negative(hg, out=s)  # sig = 1 / (1 + exp(-h_gate))
-                np.exp(s, out=s)
-                np.add(1.0, s, out=s)
-                np.divide(1.0, s, out=s)
-                np.multiply(hg, s, out=t)  # act
-                np.multiply(t, hu, out=gated[i0:i1])
-                np.einsum("ij,ij->i", gg, gated[i0:i1], out=a[lo + i0:lo + i1])
-                np.multiply(gg, t, out=g_h_up[i0:i1])
-                np.subtract(1.0, s, out=t)  # act' = sig * (1 + h_gate * (1 - sig))
-                np.multiply(hg, t, out=t)
-                np.add(1.0, t, out=t)
-                np.multiply(s, t, out=t)
-                np.multiply(gg, hu, out=gg)  # g_h_gate = (g_gated * h_up) * act'
-                np.multiply(gg, t, out=gg)
-            g_hs[lo:hi] = g_h_up @ expert.up.data.T + g_h_gate @ expert.gate_proj.data.T
-            g_params += [hs[lo:hi].T @ g_h_up, hs[lo:hi].T @ g_h_gate, gated.T @ g_ys[lo:hi]]
-        g_slots = np.empty_like(g_hs)
-        g_slots[order] = g_hs
+            for c0 in range(lo, hi, _CHUNK_ROWS):
+                c1 = min(c0 + _CHUNK_ROWS, hi)
+                slots = order[c0:c1]
+                at = slots // k  # the chunk's rows, each once
+                hs = h[at]
+                g_ys = g[at]
+                g_ys *= w_slots[slots, None]
+                g_gated = np.matmul(g_ys, expert.down.data.T, out=g_gated_buf[:c1 - c0])
+                gated, g_h_up = gated_buf[:c1 - c0], g_h_up_buf[:c1 - c0]
+                g_h_gate = g_gated  # overwritten tile by tile, each after its last read
+                for i0 in range(0, c1 - c0, _TILE_ROWS):
+                    i1 = min(i0 + _TILE_ROWS, c1 - c0)
+                    hg, hu, gg, s, t = (h_gate[c0 + i0:c0 + i1], h_up[c0 + i0:c0 + i1],
+                                        g_gated[i0:i1], sig[:i1 - i0], act[:i1 - i0])
+                    np.negative(hg, out=s)  # sig = 1 / (1 + exp(-h_gate))
+                    np.exp(s, out=s)
+                    np.add(1.0, s, out=s)
+                    np.divide(1.0, s, out=s)
+                    np.multiply(hg, s, out=t)  # act
+                    np.multiply(t, hu, out=gated[i0:i1])
+                    np.einsum("ij,ij->i", gg, gated[i0:i1], out=a[c0 + i0:c0 + i1])
+                    np.multiply(gg, t, out=g_h_up[i0:i1])
+                    np.subtract(1.0, s, out=t)  # act' = sig * (1 + h_gate * (1 - sig))
+                    np.multiply(hg, t, out=t)
+                    np.add(1.0, t, out=t)
+                    np.multiply(s, t, out=t)
+                    np.multiply(gg, hu, out=gg)  # g_h_gate = (g_gated * h_up) * act'
+                    np.multiply(gg, t, out=gg)
+                g_hs = g_h_up @ expert.up.data.T
+                g_hs += g_h_gate @ expert.gate_proj.data.T
+                g_h[at] += g_hs  # a row's slots go to distinct experts, so this adds once per row
+                terms = (hs.T @ g_h_up, hs.T @ g_h_gate, gated.T @ g_ys)
+                if c0 == lo:
+                    sums = terms
+                else:
+                    for total, term in zip(sums, terms):
+                        total += term
+            g_params += sums
         a_slots = np.empty_like(a)
         a_slots[order] = a
         a = a_slots.reshape(n, k)
-        g_logits = np.zeros((n, len(experts)), dtype=hs.dtype)
+        g_logits = np.zeros((n, len(experts)), dtype=h.dtype)
         g_logits[picked] = a - w * a.sum(axis=1, keepdims=True)
-        g_h = g_slots.reshape(n, k, d).sum(axis=1) + g_logits @ params.gate.data.T
+        g_gate = h.T @ g_logits
+        del h
+        g_h += g_logits @ params.gate.data.T
         gx, g_norm = ad.rms_norm_backward(g_h, x.data, norm.data, r)
-        return (g + gx, g_norm, h.T @ g_logits, *g_params)
+        gx += g
+        return (gx, g_norm, g_gate, *g_params)
 
     return ad._node(out, parents, bwd), decision
 

@@ -98,25 +98,38 @@ class AdamState:
 
 def adamw_step(named, state: AdamState, lr: float, config: TrainConfig) -> None:
     """Decoupled-weight-decay Adam update; a missing gradient counts as zero
-    (experts that routed no tokens this step still decay their moments)."""
+    (experts that routed no tokens this step still decay their moments).
+
+    The ops are those of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2)
+    g^2`` and ``p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p)``, in that
+    order, over two temporaries per parameter."""
     state.t += 1
-    bc1 = 1.0 - config.adam_beta1 ** state.t
-    bc2 = 1.0 - config.adam_beta2 ** state.t
+    b1, b2 = config.adam_beta1, config.adam_beta2
+    bc1 = 1.0 - b1 ** state.t
+    bc2 = 1.0 - b2 ** state.t
     for name, p in named:
         m, v = state.m[name], state.v[name]
         if m.shape != p.data.shape:
             raise ad.ShapeError(f"optimizer state for {name} has shape {m.shape}, param {p.data.shape}")
         g = p.grad
-        if g is None:
-            m *= config.adam_beta1
-            v *= config.adam_beta2
-        else:
-            m *= config.adam_beta1
-            m += (1.0 - config.adam_beta1) * g
-            v *= config.adam_beta2
-            v += (1.0 - config.adam_beta2) * np.square(g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
-        p.data -= lr * (update + config.weight_decay * p.data)
+        t = np.empty_like(m)
+        m *= b1
+        v *= b2
+        if g is not None:
+            np.multiply(g, 1.0 - b1, out=t)
+            m += t
+            np.square(g, out=t)
+            t *= 1.0 - b2
+            v += t
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += config.adam_eps
+        update = m / bc1
+        update /= t
+        np.multiply(p.data, config.weight_decay, out=t)
+        update += t
+        update *= lr
+        p.data -= update
 
 
 # --- sample encoding and batching -------------------------------------------
@@ -460,8 +473,10 @@ def _keep_freed_memory() -> None:
     only past 1 GiB free. A step frees its tape when its graph exits; without
     this, glibc handed those pages back to the kernel and the next step
     faulted them in again (on the default model, about 50K minor page faults
-    and 100 ms of system time per step, against none with it). The setting is
-    process-wide and stays. A no-op on other C libraries."""
+    and 100 ms of system time per step, against none with it). Decoding's
+    prefill buffers churned the same way, so ``cli.main`` calls this before
+    every command. The setting is process-wide and stays. A no-op on other C
+    libraries."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = ctypes.CDLL(None).mallopt

@@ -170,6 +170,69 @@ def moe_backward_reference(x, norm, eps, layer, idx, g):
     return (g + gx, g_norm, h.T @ g_logits, *g_params)
 
 
+def attend_reference(q, k, v, plan, lse=None):
+    """The attention block loop over the whole batch at once, the oracle
+    for ``model._attend``: each block of ``plan`` scores all of its live
+    sequences in one product against the whole batch's transposed keys.
+    Fills ``lse``, if given, and returns the head outputs."""
+    k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    merged = np.empty_like(q)
+    for lo, hi, live, mask, n_keys in plan:
+        s = model._block_scores(q[:live, :, lo:hi], k_t[:live], mask, n_keys)
+        peak = s.max(axis=-1, keepdims=True)
+        s -= peak
+        np.exp(s, out=s)
+        total = s.sum(axis=-1, keepdims=True)
+        o = merged[:live, :, lo:hi]
+        np.matmul(s, v[:live, :, :n_keys], out=o)
+        o /= total
+        if lse is not None:
+            lse[:live, :, lo:hi] = (peak + np.log(total))[..., 0]
+    return merged
+
+
+def attend_backward_reference(q, k, v, lse, plan, d_out, delta):
+    """The whole-batch backward loop, the oracle for
+    ``model._attend_backward``: returns (dq, dk, dv), dq zero at the slots
+    no block runs."""
+    k_t = np.ascontiguousarray(np.swapaxes(k, -1, -2))
+    v_t = np.ascontiguousarray(np.swapaxes(v, -1, -2))
+    dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    for lo, hi, live, mask, n_keys in plan:
+        p = model._block_scores(q[:live, :, lo:hi], k_t[:live], mask, n_keys)
+        p -= lse[:live, :, lo:hi, None]
+        np.exp(p, out=p)
+        d_o = d_out[:live, :, lo:hi]
+        dv[:live, :, :n_keys] += np.swapaxes(p, -1, -2) @ d_o
+        ds = d_o @ v_t[:live, :, :, :n_keys]
+        ds -= delta[:live, :, lo:hi, None]
+        ds *= p
+        dq[:live, :, lo:hi] = ds @ k[:live, :, :n_keys]
+        dk[:live, :, :n_keys] += np.swapaxes(ds, -1, -2) @ q[:live, :, lo:hi]
+    return dq, dk, dv
+
+
+def adamw_reference(named, state, lr: float, config) -> None:
+    """``training.adamw_step`` as a textbook formula with a fresh temporary
+    per operation, the oracle its in-place version must equal bitwise."""
+    state.t += 1
+    bc1 = 1.0 - config.adam_beta1 ** state.t
+    bc2 = 1.0 - config.adam_beta2 ** state.t
+    for name, p in named:
+        m, v = state.m[name], state.v[name]
+        g = p.grad
+        if g is None:
+            m *= config.adam_beta1
+            v *= config.adam_beta2
+        else:
+            m *= config.adam_beta1
+            m += (1.0 - config.adam_beta1) * g
+            v *= config.adam_beta2
+            v += (1.0 - config.adam_beta2) * np.square(g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
+        p.data -= lr * (update + config.weight_decay * p.data)
+
+
 def masked_softmax_reference(logits: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """Softmax over the kept logits of each row and exactly zero elsewhere,
     the oracle for the MoE gate weights: dropped logits count as -inf, and

@@ -123,6 +123,48 @@ class TestCrossEntropy:
             ad.cross_entropy(Tensor(np.zeros((2, 3))), np.array([0, 3]))
 
 
+class TestTake:
+    @pytest.mark.parametrize("ids", [
+        [3, 0, 3, 3, 5, 0, 1],  # duplicates, with 2 and 4 absent
+        [4],  # a single id
+        [[2, 2], [0, 2]],  # a 2-d index
+        [],  # nothing taken
+    ], ids=["duplicates", "single", "2d", "empty"])
+    def test_gradient_equals_add_at(self, ids):
+        # the sorted segment sums may add in another order than np.add.at:
+        # equal to 1e-15 of the largest entry in f64
+        rng = np.random.default_rng(29)
+        ids = np.array(ids, dtype=np.int64)
+        x = t64(rng.normal(size=(6, 5)))
+        g = rng.normal(size=ids.shape + (5,))
+        with Graph():
+            (got,) = ad.take(x, ids)._backward(g)
+        want = np.zeros_like(x.data)
+        np.add.at(want, ids, g)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-15 * max(np.abs(want).max(), 1.0)
+        assert not got[np.setdiff1d(np.arange(6), ids)].any()
+
+
+class TestRmsNormBackward:
+    @pytest.mark.parametrize("shape", [(4054, 128), (3, 7, 16), (16,)])
+    def test_matches_the_textbook_formula(self, shape):
+        # the in-place formula reorders the row sums: within 1e-14 of each
+        # gradient's largest entry in f64
+        rng = np.random.default_rng(31)
+        d = shape[-1]
+        x, g = 3.0 * rng.normal(size=shape), rng.normal(size=shape)
+        w = 1.0 + 0.2 * rng.normal(size=d)
+        _, r = ad.rms_norm_forward(x, w, 1e-5)
+        s = (g * w * x).sum(axis=-1, keepdims=True)
+        want_x = r * g * w - x * r**3 * s / d
+        want_w = (g * x * r).reshape(-1, d).sum(axis=0)
+        got_x, got_w = ad.rms_norm_backward(g, x, w, r)
+        assert got_x.shape == shape and got_w.shape == (d,)
+        assert np.abs(got_x - want_x).max() <= 1e-14 * np.abs(want_x).max()
+        assert np.abs(got_w - want_w).max() <= 1e-14 * np.abs(want_w).max()
+
+
 class TestBackward:
     def test_sum_of_squares(self):
         x = t64([1.0, -2.0, 3.0])

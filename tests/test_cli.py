@@ -149,6 +149,21 @@ class TestConfig:
         # argparse takes --determ for --deterministic, so the cap must too
         assert _deterministic_thread_vars(tiny_config, tmp_path, {}, "--determ") == ["1"] * 4
 
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--out", "d.jsonl"],
+        ["train", "--data", "d.jsonl", "--out-dir", "run"],
+        ["eval", "--checkpoint", "m.ck", "--data", "d.jsonl"],
+        ["correct", "--checkpoint", "m.ck", "--task", "asr"],
+        ["route-stats", "--checkpoint", "m.ck", "--data", "d.jsonl"],
+    ], ids=lambda argv: argv[0])
+    def test_main_keeps_freed_memory_before_every_command(self, monkeypatch, argv):
+        calls = []
+        monkeypatch.setattr(tr, "_keep_freed_memory", lambda: calls.append("keep"))
+        name = "cmd_" + argv[0].replace("-", "_")
+        monkeypatch.setattr(cli, name, lambda args: calls.append(args.command) or 0)
+        assert main(argv) == 0
+        assert calls == ["keep", argv[0]]
+
     @pytest.mark.parametrize("value", ["abc", "0", "-2", ""])
     def test_bad_neko_threads_exits_2_before_numpy_loads(self, tiny_config, tmp_path, value):
         out = tmp_path / "d.jsonl"

@@ -1,4 +1,5 @@
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -21,7 +22,8 @@ from moefix.model import (
     rope_tables,
     row_layout,
 )
-from helpers import (add, attention_block_reference, gradcheck, greedy_reference, lookup_reference,
+from helpers import (add, attend_backward_reference, attend_reference, attention_block_reference,
+                     gradcheck, greedy_reference, lookup_reference,
                      matmul_nt, moe_block_reference, mul, rms_norm, sum_, swiglu_reference)
 
 
@@ -275,6 +277,96 @@ class TestAttention:
         cos, sin = rope_tables(cfg, np.arange(5), np.float32)
         assert cos.shape == (5, 1, cfg.head_dim // 2)
         assert np.allclose(cos**2 + sin**2, 1.0, atol=1e-6)
+
+
+class TestGroupedAttention:
+    """The attention block loop runs in groups of ``model._GROUP``
+    sequences; it must be bitwise the loop over the whole batch at once."""
+
+    # 10 sequences, 3 groups. Sorted longest first they are 133, 100, 70,
+    # 66, 65, 64, 30, 9, 5, 1: the second block's live sequences end one
+    # sequence into the second group, the third block's one into the first,
+    # and the 100-row sequence ends inside the second block.
+    LENGTHS = np.array([133, 5, 70, 66, 9, 100, 1, 65, 30, 64])
+
+    def _inputs(self, dtype, loss_rows):
+        cfg = tiny_config(d_model=16, n_heads=2, max_seq_len=160)
+        h, hd = cfg.n_heads, cfg.head_dim
+        rows = row_layout(cfg, self.LENGTHS, dtype)
+        queries = None
+        if loss_rows:  # the last half of each sequence but the 5-row one: 67 in the longest
+            starts = np.cumsum(self.LENGTHS) - self.LENGTHS
+            queries = np.concatenate([np.arange(s + n // 2, s + n) for s, n in
+                                      zip(starts, self.LENGTHS) if n != 5])
+        slot, index, tq, plan = model._query_blocks(rows, queries)
+        (b, t), m, n = rows.shape, len(slot), self.LENGTHS.sum()
+        rng = np.random.default_rng(41)
+        q = np.zeros((b, h, tq, hd), dtype=dtype)
+        q[slot, :, index] = 0.5 * rng.normal(size=(m, h, hd))
+        k, v = np.zeros((2, b, h, t, hd), dtype=dtype)
+        k[rows.seq, :, rows.pos] = rng.normal(size=(n, h, hd))
+        v[rows.seq, :, rows.pos] = rng.normal(size=(n, h, hd))
+        d_out = np.zeros_like(q)
+        d_out[slot, :, index] = rng.normal(size=(m, h, hd))
+        return q, k, v, plan, (slot, slice(None), index), d_out
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("loss_rows", [False, True], ids=["all-rows", "loss-rows"])
+    def test_bitwise_equal_to_the_whole_batch_loop(self, dtype, loss_rows):
+        q, k, v, plan, at, d_out = self._inputs(dtype, loss_rows)
+        b = len(q)
+        assert len(model._group_blocks(plan, b)) == 3
+        assert any(mask is not None and mask[1].ndim == 4 for *_, mask, _ in plan) == loss_rows
+        lse, want_lse = np.empty((2,) + q.shape[:3], dtype=dtype)
+        merged = model._attend(q, k, v, plan, lse)
+        want = attend_reference(q, k, v, plan, want_lse)
+        assert merged[at].tobytes() == want[at].tobytes()
+        assert lse[at].tobytes() == want_lse[at].tobytes()
+
+        delta = np.zeros_like(lse)
+        delta[at] = (d_out[at] * want[at]).sum(axis=-1)
+        dq, dk, dv = np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+        model._attend_backward(q, k, v, lse, plan, d_out, delta, dq, dk, dv)
+        want_dq, want_dk, want_dv = attend_backward_reference(q, k, v, lse, plan, d_out, delta)
+        assert dq[at].tobytes() == want_dq[at].tobytes()
+        assert dk.tobytes() == want_dk.tobytes() and dv.tobytes() == want_dv.tobytes()
+        assert np.abs(dk).max() > 0 and np.abs(dq[at]).max() > 0
+
+
+class TestBackwardWorkingSet:
+    def test_node_backward_passes_hold_a_few_input_sizes(self):
+        # The arrays a node's backward pass allocates, at their peak, in
+        # units of the node's [n, d] input, on a packed f32 batch of 2040
+        # rows at the default model sizes. The whole-batch passes held 16.9
+        # (attention) and 17.3-18.9 (MoE) units here; the grouped attention
+        # loop and the chunked expert walk hold 7.3 and 8.0-8.9.
+        cfg = ModelConfig(vocab_size=55)
+        params = init_params(cfg, seed=42)
+        lengths = np.array([215, 209, 196, 196, 193, 190, 186, 183, 180, 178, 174, 140])
+        n = int(lengths.sum())
+        rng = np.random.default_rng(43)
+        tokens = rng.integers(0, cfg.vocab_size, size=n)
+        with ad.Graph() as graph:
+            forward(params, cfg, tokens, forced=np.arange(len(lengths)) % cfg.n_experts,
+                    lengths=lengths)
+            nodes = [(node._backward.__qualname__.split(".")[0], node) for node in graph.nodes]
+            held = {"causal_attention": [], "_route": []}
+            tracemalloc.start()
+            try:
+                for name, node in nodes:
+                    if name in held:
+                        g = rng.normal(size=node.data.shape).astype(np.float32)
+                        base = tracemalloc.get_traced_memory()[0]
+                        tracemalloc.reset_peak()
+                        grads = node._backward(g)
+                        held[name].append((tracemalloc.get_traced_memory()[1] - base)
+                                          / (n * cfg.d_model * 4))
+                        del grads
+            finally:
+                tracemalloc.stop()
+        assert all(len(units) == cfg.n_layers for units in held.values())
+        assert max(held["causal_attention"]) < 10.0, held
+        assert max(held["_route"]) < 10.0, held
 
 
 class TestForward:

@@ -408,6 +408,30 @@ class TestTiledSwigluBackward:
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == dtype and a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_chunks_match_the_whole_block_oracle(self, k):
+        # K = E: every expert's block holds every row, 3 chunks of slots.
+        # The weight gradients sum over chunks, and at K = 3 a row's three
+        # slot terms add in expert order, so those agree to 1e-13 of each
+        # array's largest entry in f64; at K = 2 the input rows' gradient is
+        # bitwise, since 0 + a + b rounds as a + b
+        rows = 2 * moe._CHUNK_ROWS + 37
+        rng = np.random.default_rng(20)
+        layer = make_layer(rng, d=8, d_ff=24, n_experts=k)
+        x = Tensor(rng.normal(size=(rows, 8)), requires_grad=True)
+        g = rng.normal(size=(rows, 8))
+        norm = random_norm(rng, 8)
+        with Graph():
+            y, dec = moe_forward_task(x, layer, np.arange(rows) % k, k, norm, EPS)
+            got = y._backward(g)
+        assert np.bincount(dec.indices.ravel()).tolist() == [rows] * k
+        want = moe_backward_reference(x.data, norm, EPS, layer, dec.indices, g)
+        assert len(got) == len(want) == 3 + 3 * k
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-13 * np.abs(b).max()
+        if k == 2:
+            assert got[0].tobytes() == want[0].tobytes()
+
     @pytest.mark.parametrize("route", ["infer", "task"])
     def test_gradcheck_across_tiles(self, route):
         rng = np.random.default_rng(19)

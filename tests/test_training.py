@@ -32,7 +32,7 @@ from moefix.training import (
     train,
 )
 
-from helpers import nll_reference, rewrite_header, route_stats_reference
+from helpers import adamw_reference, nll_reference, rewrite_header, route_stats_reference
 
 
 def make_registry():
@@ -146,6 +146,28 @@ class TestAdamW:
         p.grad = None
         adamw_step([("p", p)], state, lr=1e-3, config=cfg)
         assert p.data[0] != moved[0]  # momentum keeps moving the weight
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_bitwise_equal_to_the_textbook_formula(self, dtype):
+        # four steps on two tensors; the vector has no gradient on step 3
+        rng = np.random.default_rng(23)
+        cfg = TrainConfig(weight_decay=0.1)
+        shapes = {"w": (24, 7), "b": (7,)}
+
+        def run(step_fn):
+            named = [(name, Tensor(np.random.default_rng(5).normal(size=shape).astype(dtype),
+                                   requires_grad=True)) for name, shape in shapes.items()]
+            state = AdamState(named)
+            for step, grads in enumerate(steps):
+                for name, p in named:
+                    p.grad = None if grads[name] is None else grads[name].copy()
+                step_fn(named, state, 3e-3 * (step + 1), cfg)
+            return [a.tobytes() for name, p in named for a in (p.data, state.m[name], state.v[name])]
+
+        steps = [{name: None if (step == 2 and name == "b") else
+                  rng.normal(size=shape).astype(dtype) for name, shape in shapes.items()}
+                 for step in range(4)]
+        assert run(adamw_step) == run(adamw_reference)
 
     def test_shape_mismatch(self):
         p = Tensor(np.zeros(2), requires_grad=True)
