@@ -267,7 +267,7 @@ def cmd_eval(args) -> int:
 
     if args.csv:
         _check_report_path(args.csv)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint, optimizer=False)
     samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
     # a prompt that fills max_seq_len leaves no room to decode: skipped and
     # counted, as train skips overlong samples
@@ -292,7 +292,7 @@ def cmd_correct(args) -> int:
     from .metrics import correct_hypotheses
     from .training import load_checkpoint
 
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint, optimizer=False)
     task = ckpt.registry.get(args.task)  # KeyError -> exit 2 via main()
     hypotheses = []
     for lineno, line in enumerate(sys.stdin, start=1):
@@ -312,7 +312,7 @@ def cmd_route_stats(args) -> int:
 
     if args.csv:
         _check_report_path(args.csv)
-    ckpt = load_checkpoint(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint, optimizer=False)
     samples = read_dataset(args.data, ckpt.registry, ckpt.tokenizer.alphabet)
     report, skipped = route_stats_over(ckpt, samples)
     for task in ckpt.registry:

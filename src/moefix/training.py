@@ -12,6 +12,7 @@ import math
 import os
 import platform
 import struct
+import sys
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -232,7 +233,9 @@ _MAP_SALT = 0x6D    # 'm'
 
 @dataclass
 class Checkpoint:
-    """Everything needed to continue training or run inference."""
+    """Everything needed to continue training or run inference. ``opt`` is
+    None in a checkpoint loaded with ``optimizer=False``: it runs inference,
+    but cannot be trained on or saved."""
 
     config: ModelConfig
     params: TransformerParams
@@ -240,7 +243,7 @@ class Checkpoint:
     tokenizer: Tokenizer
     expert_map: ExpertMap
     train_config: TrainConfig
-    opt: AdamState
+    opt: AdamState | None
     step: int = 0
     total_steps: int = 0
 
@@ -251,6 +254,14 @@ class Checkpoint:
 
     def named_params(self):
         return list(named_tensors(self.params))
+
+    def adam_state(self, use: str) -> AdamState:
+        """The optimizer moments, which ``use`` needs. A ValueError saying so
+        when this checkpoint was loaded without them."""
+        if self.opt is None:
+            raise ValueError(f"{use} needs the optimizer state (the AdamW moments), and this "
+                             "checkpoint was loaded without it (optimizer=False)")
+        return self.opt
 
 
 def new_run(config: ModelConfig, train_config: TrainConfig, registry: TaskRegistry,
@@ -279,40 +290,62 @@ def _write_tensor(fh, name: str, arr: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(arr, dtype=_TAG_DTYPES[tag]).tobytes())
 
 
-def _read_exact(fh, n: int) -> bytes:
-    """The next ``n`` bytes of the checkpoint ``fh``. A size past the end of
-    the file is a CheckpointError naming it, raised before anything is
+def _check_left(fh, end: int, n: int) -> None:
+    """Raise a CheckpointError naming the checkpoint ``fh``, ``end`` bytes
+    long, unless ``n`` bytes are left in it. Called before anything is
     allocated, so a corrupt size field cannot ask for more memory than the
     file holds."""
-    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    left = end - fh.tell()
     if n > left:
         raise CheckpointError(f"{fh.name}: truncated checkpoint: wanted {n} bytes, {left} left")
+
+
+def _read_exact(fh, end: int, n: int) -> bytes:
+    """The next ``n`` bytes of the checkpoint ``fh``, after ``_check_left``."""
+    _check_left(fh, end, n)
     return fh.read(n)
 
 
-def _read_tensor(fh) -> tuple[str, np.ndarray]:
-    (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
+def _read_tensor(fh, end: int, skip_optimizer: bool):
+    """The next tensor of the checkpoint ``fh``, ``end`` bytes long: (name,
+    dtype, shape, data). The data go straight from the file into the array
+    returned, byte-swapped in place on a big-endian host. With
+    ``skip_optimizer``, an ``opt.`` tensor's header is read and checked all
+    the same, its size included, but its data are skipped and the array is
+    None."""
+    (name_len,) = struct.unpack("<I", _read_exact(fh, end, 4))
     try:
-        name = _read_exact(fh, name_len).decode("utf-8")
+        name = _read_exact(fh, end, name_len).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CheckpointError(f"{fh.name}: malformed tensor name: {exc}") from None
-    tag, rank = struct.unpack("<BI", _read_exact(fh, 5))
+    tag, rank = struct.unpack("<BI", _read_exact(fh, end, 5))
     if tag not in _TAG_DTYPES:
         raise CheckpointError(f"{fh.name}: unknown dtype tag {tag} for tensor {name!r}")
-    shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank))
-    dtype = _TAG_DTYPES[tag]
+    shape = struct.unpack(f"<{rank}Q", _read_exact(fh, end, 8 * rank))
+    dtype = _TAG_DTYPES[tag].newbyteorder("=")
     # Python ints: a product of corrupt dimensions cannot wrap to a small size
-    data = np.frombuffer(_read_exact(fh, math.prod(shape) * dtype.itemsize), dtype=dtype)
-    return name, data.reshape(shape).astype(dtype.newbyteorder("="), copy=True)
+    nbytes = math.prod(shape) * dtype.itemsize
+    _check_left(fh, end, nbytes)
+    if skip_optimizer and name.startswith("opt."):
+        fh.seek(nbytes, os.SEEK_CUR)
+        return name, dtype, shape, None
+    data = np.empty(shape, dtype=dtype)
+    if fh.readinto(data) != nbytes:  # the file shrank while it was read
+        raise CheckpointError(f"{fh.name}: truncated checkpoint in tensor {name!r}")
+    if sys.byteorder != "little":
+        data.byteswap(inplace=True)
+    return name, dtype, shape, data
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Write ``path`` atomically: the bytes go to a temporary file in the same
     directory, which is fsynced and then renamed over ``path``. A write that
-    fails part way leaves any earlier file at ``path`` as it was."""
+    fails part way leaves any earlier file at ``path`` as it was. A
+    checkpoint loaded without its optimizer state is a ValueError."""
+    opt = ckpt.adam_state("save_checkpoint")
     entries = [(name, t.data) for name, t in ckpt.named_params()]
-    entries += [(f"opt.m.{name}", ckpt.opt.m[name]) for name in ckpt.opt.m]
-    entries += [(f"opt.v.{name}", ckpt.opt.v[name]) for name in ckpt.opt.v]
+    entries += [(f"opt.m.{name}", opt.m[name]) for name in opt.m]
+    entries += [(f"opt.v.{name}", opt.v[name]) for name in opt.v]
     header = {
         "model_config": asdict(ckpt.config),
         "dtype": ckpt.dtype,
@@ -322,7 +355,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "train_config": asdict(ckpt.train_config),
         "step": ckpt.step,
         "total_steps": ckpt.total_steps,
-        "adam_t": ckpt.opt.t,
+        "adam_t": opt.t,
         "n_tensors": len(entries),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -357,7 +390,7 @@ def _config_from(path, cls, values: dict):
         raise CheckpointError(f"{path}: bad {cls.__name__} in header: {exc}") from None
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
     """Read a checkpoint written by ``save_checkpoint``. Raises CheckpointError,
     naming the file, for a bad magic or version, a malformed or incomplete
     header (a value of the wrong type, an unknown dtype, step counters other
@@ -365,16 +398,21 @@ def load_checkpoint(path) -> Checkpoint:
     expert id in range per task included), a missing, misshapen,
     truncated or other-precision tensor, or bytes after the last tensor. The
     parameters and optimizer moments are the arrays read, with no fresh
-    initialisation."""
+    initialisation.
+
+    With ``optimizer`` False the optimizer moments, two thirds of the file,
+    are checked as strictly but not read, and ``opt`` is None: what
+    inference needs, at a third of the memory."""
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4) != MAGIC:
+        end = os.fstat(fh.fileno()).st_size
+        if _read_exact(fh, end, 4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
+        (version,) = struct.unpack("<I", _read_exact(fh, end, 4))
         if version != VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        (header_len,) = struct.unpack("<I", _read_exact(fh, 4))
+        (header_len,) = struct.unpack("<I", _read_exact(fh, end, 4))
         try:
-            header = json.loads(_read_exact(fh, header_len).decode("utf-8"))
+            header = json.loads(_read_exact(fh, end, header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{path}: malformed header: {exc}") from None
         if not isinstance(header, dict):
@@ -396,13 +434,13 @@ def load_checkpoint(path) -> Checkpoint:
         if header["adam_t"] != step:  # train takes one optimizer step per step
             raise CheckpointError(f"{path}: header key 'adam_t' must equal step {step}, "
                                   f"got {header['adam_t']}")
-        tensors = {}
+        tensors, shapes = {}, {}
         for _ in range(header["n_tensors"]):
-            name, arr = _read_tensor(fh)
-            if arr.dtype != ad.DTYPES[dtype]:
-                raise CheckpointError(f"{path}: tensor {name!r} is {arr.dtype}, "
+            name, tensor_dtype, shapes[name], tensors[name] = _read_tensor(
+                fh, end, not optimizer)
+            if tensor_dtype != ad.DTYPES[dtype]:
+                raise CheckpointError(f"{path}: tensor {name!r} is {tensor_dtype}, "
                                       f"the header's dtype is {dtype}")
-            tensors[name] = arr
         if fh.read(1):
             raise CheckpointError(f"{path}: unexpected bytes after the last of "
                                   f"{header['n_tensors']} tensors")
@@ -429,22 +467,23 @@ def load_checkpoint(path) -> Checkpoint:
                               f"[0, {config.n_experts}) per task and an integer seed, got {emap!r}")
 
     def read(key, shape):
-        if key not in tensors:
+        if key not in shapes:
             raise CheckpointError(f"{path}: missing tensor {key!r}")
-        arr = tensors[key]
-        if arr.shape != shape:
-            raise CheckpointError(f"{path}: tensor {key!r} has shape {arr.shape}, expected {shape}")
-        return arr
+        if shapes[key] != shape:
+            raise CheckpointError(f"{path}: tensor {key!r} has shape {shapes[key]}, "
+                                  f"expected {shape}")
+        return tensors[key]
 
     params = build_params(config, read)
-    opt = AdamState([])
+    opt = AdamState([])  # read checks each moment; without ``optimizer`` each is None
     opt.t = header["adam_t"]
     for name, tensor in named_tensors(params):
         opt.m[name] = read(f"opt.m.{name}", tensor.data.shape)
         opt.v[name] = read(f"opt.v.{name}", tensor.data.shape)
     return Checkpoint(
         config=config, params=params, registry=registry, tokenizer=tokenizer,
-        expert_map=ExpertMap.from_dict(emap), train_config=train_config, opt=opt,
+        expert_map=ExpertMap.from_dict(emap), train_config=train_config,
+        opt=opt if optimizer else None,
         step=header["step"], total_steps=header["total_steps"],
     )
 
@@ -492,6 +531,7 @@ def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
     clip, AdamW at the scheduled rate. Aborts on a non-finite loss or gradient
     norm, before that step updates any weight.
     """
+    opt = ckpt.adam_state("train")
     cfg = ckpt.train_config
     encoded, skipped = usable_samples(ckpt, samples)
     schedule = build_schedule([len(s.ids) for s in encoded], cfg.epochs,
@@ -525,7 +565,7 @@ def train(ckpt: Checkpoint, samples, on_step=None) -> TrainResult:
         grad_norm = clip_global_norm([p for p in all_params if p.grad is not None], cfg.grad_clip)
         if not np.isfinite(grad_norm):  # checked before the update touches any weight
             raise _numerical_error(f"non-finite gradient norm {grad_norm}", step, batch)
-        adamw_step(named, ckpt.opt, lr, cfg)
+        adamw_step(named, opt, lr, cfg)
         ckpt.step = step + 1
 
         loads = sum(np.bincount(d.indices.ravel(), minlength=n_experts) for d in decisions)

@@ -369,6 +369,24 @@ def rewrite_header(src, dst, edit):
     return dst
 
 
+def tensor_offsets(path) -> dict[str, int]:
+    """The offset of each tensor's dtype tag in the checkpoint file ``path``,
+    by tensor name, in file order."""
+    raw = Path(path).read_bytes()
+    (header_len,) = struct.unpack_from("<I", raw, 8)
+    pos = 12 + header_len
+    offsets = {}
+    for _ in range(json.loads(raw[12:pos])["n_tensors"]):
+        (name_len,) = struct.unpack_from("<I", raw, pos)
+        name = raw[pos + 4:pos + 4 + name_len].decode("utf-8")
+        pos += 4 + name_len
+        offsets[name] = pos
+        tag, rank = struct.unpack_from("<BI", raw, pos)
+        shape = struct.unpack_from(f"<{rank}Q", raw, pos + 5)
+        pos += 5 + 8 * rank + int(np.prod(shape)) * (4 if tag == 0 else 8)
+    return offsets
+
+
 def route_stats_reference(ckpt, samples):
     """Per-sample oracle for ``training.route_stats_over``: each sample that
     fits runs alone through the forward pass, and its decisions are counted

@@ -644,6 +644,40 @@ class TestEvalCorrectStats:
         tr.nll_loss(ckpt.params, ckpt.config, tr.make_batch_arrays(encoded, ckpt.tokenizer.pad_id))
         assert calls["moe_forward_task"] == ckpt.config.n_layers
 
+    def test_inference_reads_the_weights_only_and_prints_what_a_full_read_does(
+            self, trained_run, tmp_path, monkeypatch, capsys):
+        # eval, correct and route-stats load through training.load_checkpoint,
+        # which the perfbench eval trace wraps, without the optimizer moments;
+        # every byte they print and write is what the full read gives
+        tiny_config, data, out = trained_run
+        ck = str(out / "model.ck")
+        real = tr.load_checkpoint
+        commands = [["eval", "--checkpoint", ck, "--data", str(data), "--bleu", "--csv"],
+                    ["correct", "--checkpoint", ck, "--task", "ocr"],
+                    ["route-stats", "--checkpoint", ck, "--data", str(data), "--csv"]]
+
+        def outputs(forced):
+            asked = []
+
+            def loading(path, optimizer=True):
+                asked.append(optimizer)
+                return real(path, optimizer=optimizer if forced is None else forced)
+
+            monkeypatch.setattr(tr, "load_checkpoint", loading)
+            monkeypatch.setattr(sys, "stdin", io.StringIO("the cat sleeps\nthe cat sleep\n"))
+            csv = tmp_path / "report.csv"
+            got = []
+            for argv in commands:
+                argv = argv + [str(csv)] if argv[-1] == "--csv" else argv
+                assert run_cli(*argv) == 0
+                got += [capsys.readouterr(), csv.read_bytes() if csv.exists() else None]
+                csv.unlink(missing_ok=True)
+            return asked, got
+
+        asked, weights_only = outputs(None)
+        assert asked == [False] * 3
+        assert outputs(True)[1] == weights_only
+
     def test_eval_skips_and_counts_overlong_prompts(self, trained_run, tmp_path, capsys):
         tiny_config, data, out = trained_run
         lines = data.read_text().splitlines()
@@ -890,6 +924,14 @@ def test_one_expert_runs_every_command(tmp_path, capsys, task_routing):
         f"# task {name} -> expert 0" for name in ("asr", "ocr", "typo")]
     assert lines[3:] == ["task,expert,fraction,mean_weight"] + [
         f"{name},0,1.000000,1.000000" for name in ("asr", "ocr", "typo")]
+
+
+def test_package_entrypoint_help():
+    # python -m moefix runs the CLI, as python -m moefix.cli does
+    proc = subprocess.run([sys.executable, "-m", "moefix", "--help"],
+                          capture_output=True, text=True, env=child_env(dict(os.environ)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: moefix")
 
 
 def test_module_entrypoint_help():

@@ -32,7 +32,8 @@ from moefix.training import (
     train,
 )
 
-from helpers import adamw_reference, nll_reference, rewrite_header, route_stats_reference
+from helpers import (adamw_reference, nll_reference, rewrite_header, route_stats_reference,
+                     tensor_offsets)
 
 
 def make_registry():
@@ -515,6 +516,35 @@ class TestCheckpoint:
             assert np.array_equal(ckpt.opt.v[name], back.opt.v[name])
         assert back.expert_map == ckpt.expert_map
 
+    def test_weights_only_read_gives_the_full_reads_parameters(self, tmp_path):
+        ckpt, registry, tok = make_setup(dtype="f32", seed=12)
+        train(ckpt, make_dataset(registry, n=2))
+        path = tmp_path / "m.ck"
+        save_checkpoint(ckpt, path)
+        full, weights = load_checkpoint(path), load_checkpoint(path, optimizer=False)
+        assert weights.opt is None
+        assert [n for n, _ in weights.named_params()] == [n for n, _ in full.named_params()]
+        for (name, a), (_, b) in zip(full.named_params(), weights.named_params()):
+            assert a.data.dtype == b.data.dtype and a.data.tobytes() == b.data.tobytes(), name
+            assert b.requires_grad and b.data.flags.c_contiguous and b.data.flags.writeable
+        for field in ("config", "expert_map", "train_config", "step", "total_steps"):
+            assert getattr(weights, field) == getattr(full, field), field
+        assert weights.registry.names == full.registry.names
+        assert weights.tokenizer.alphabet == full.tokenizer.alphabet
+
+    def test_a_weights_only_checkpoint_is_neither_saved_nor_trained(self, tmp_path):
+        ckpt, registry, tok = make_setup(seed=12)
+        path = tmp_path / "m.ck"
+        save_checkpoint(ckpt, path)
+        before = path.read_bytes()
+        weights = load_checkpoint(path, optimizer=False)
+        with pytest.raises(ValueError, match=r"save_checkpoint needs the optimizer state"):
+            save_checkpoint(weights, path)
+        assert os.listdir(tmp_path) == ["m.ck"] and path.read_bytes() == before
+        with pytest.raises(ValueError, match=r"train needs the optimizer state"):
+            train(weights, make_dataset(registry, n=2))
+        assert weights.step == 0
+
     def test_loads_header_with_legacy_rng_state(self, tmp_path):
         # checkpoints written before the unused RNG state was dropped carry it
         ckpt, registry, tok = make_setup(seed=12)
@@ -563,6 +593,15 @@ class TestCheckpoint:
         save_checkpoint(back, tmp_path / "again.ck")
         assert (tmp_path / "again.ck").read_bytes() == path.read_bytes()
 
+    @staticmethod
+    def _rejected_by_both_reads(path, match):
+        """The full read and the weights-only read both reject ``path`` with a
+        CheckpointError that matches ``match`` and names the file."""
+        for optimizer in (True, False):
+            with pytest.raises(CheckpointError, match=match) as err:
+                load_checkpoint(path, optimizer=optimizer)
+            assert str(path) in str(err.value), optimizer
+
     @pytest.mark.parametrize("store,name", [(None, "layers.1.moe.experts.3.down"),
                                             ("m", "final_norm"), ("v", "embedding")])
     def test_missing_tensor_rejected(self, tmp_path, store, name):
@@ -576,9 +615,7 @@ class TestCheckpoint:
             key = f"opt.{store}.{name}"
         path = tmp_path / "m.ck"
         save_checkpoint(ckpt, path)
-        with pytest.raises(CheckpointError, match=f"missing tensor '{key}'") as err:
-            load_checkpoint(path)
-        assert str(path) in str(err.value)
+        self._rejected_by_both_reads(path, f"missing tensor '{key}'")
 
     @pytest.mark.parametrize("key,expected", [("layers.0.wq", "(16, 16)"),
                                               ("opt.m.layers.1.moe.gate", "(16, 4)")])
@@ -590,15 +627,18 @@ class TestCheckpoint:
             ckpt.params.layers[0].wq.data = np.zeros((16, 3))
         path = tmp_path / "m.ck"
         save_checkpoint(ckpt, path)
-        with pytest.raises(CheckpointError,
-                           match=re.escape(f"'{key}' has shape (16, 3), expected {expected}")):
-            load_checkpoint(path)
+        self._rejected_by_both_reads(path, re.escape(f"'{key}' has shape (16, 3), "
+                                                     f"expected {expected}"))
 
     def test_unknown_dtype_rejected(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h.update(dtype="f16"))
-        with pytest.raises(CheckpointError, match="unknown dtype 'f16'") as err:
-            load_checkpoint(path)
-        assert str(path) in str(err.value)
+        self._rejected_by_both_reads(path, "unknown dtype 'f16'")
+        # a tensor's tag, in the optimizer section
+        raw = bytearray((tmp_path / "m.ck").read_bytes())
+        raw[tensor_offsets(tmp_path / "m.ck")["opt.v.final_norm"]] = 7
+        bad = tmp_path / "bad.ck"
+        bad.write_bytes(bytes(raw))
+        self._rejected_by_both_reads(bad, "unknown dtype tag 7 for tensor 'opt.v.final_norm'")
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ck"
@@ -616,10 +656,14 @@ class TestCheckpoint:
         ckpt, registry, tok = make_setup(seed=13)
         path = tmp_path / "m.ck"
         save_checkpoint(ckpt, path)
-        clipped = tmp_path / "t.ck"
-        clipped.write_bytes(path.read_bytes()[:200])
-        with pytest.raises(CheckpointError, match="truncated"):
-            load_checkpoint(clipped)
+        raw = path.read_bytes()
+        opt_at = tensor_offsets(path)["opt.m.layers.0.wq"]
+        # in the header, in an optimizer tensor's header, in its data, and
+        # in the data of the last tensor
+        for i, end in enumerate([200, opt_at + 3, opt_at + 200, len(raw) - 3]):
+            clipped = tmp_path / f"t{i}.ck"
+            clipped.write_bytes(raw[:end])
+            self._rejected_by_both_reads(clipped, "truncated")
 
     @staticmethod
     def _with_header(tmp_path, edit):
@@ -635,9 +679,7 @@ class TestCheckpoint:
         save_checkpoint(ckpt, path)
         with open(path, "ab") as fh:
             fh.write(b"junk")
-        with pytest.raises(CheckpointError, match="after the last") as err:
-            load_checkpoint(path)
-        assert str(path) in str(err.value)
+        self._rejected_by_both_reads(path, "after the last")
 
     def test_missing_header_key_rejected(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h.pop("adam_t"))
@@ -675,16 +717,17 @@ class TestCheckpoint:
         for dtype in ("f32", "f64"):
             assert make_setup(dtype=dtype)[0].dtype == dtype
         path = self._with_header(tmp_path, lambda h: h.update(dtype="f32"))  # over f64 tensors
-        with pytest.raises(CheckpointError, match="tensor 'embedding' is float64, the header's "
-                                                  "dtype is f32") as err:
-            load_checkpoint(path)
-        assert str(path) in str(err.value)
+        self._rejected_by_both_reads(path, "tensor 'embedding' is float64, the header's "
+                                           "dtype is f32")
         ckpt, registry, tok = make_setup(dtype="f32", seed=12)
         ckpt.params.final_norm.data = ckpt.params.final_norm.data.astype(np.float64)
         mixed = tmp_path / "mixed.ck"
         save_checkpoint(ckpt, mixed)
-        with pytest.raises(CheckpointError, match="tensor 'final_norm' is float64"):
-            load_checkpoint(mixed)
+        self._rejected_by_both_reads(mixed, "tensor 'final_norm' is float64")
+        ckpt, registry, tok = make_setup(dtype="f32", seed=12)
+        ckpt.opt.v["layers.1.wo"] = ckpt.opt.v["layers.1.wo"].astype(np.float64)
+        save_checkpoint(ckpt, mixed)
+        self._rejected_by_both_reads(mixed, "tensor 'opt.v.layers.1.wo' is float64")
 
     def test_unknown_model_config_key_rejected(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h["model_config"].update(n_towers=2))
