@@ -6,8 +6,9 @@ order by construction), and ``backward`` replays the tape once in reverse.
 Outside a graph the same ops run forward-only at plain numpy speed.
 
 Precision is a runtime choice: parameters carry float32 by default, float64
-when gradient checks need headroom. Parameter gradients accumulate across
-backward calls until ``zero_grads``.
+when gradient checks need headroom. A graph takes one ``backward``, which
+consumes its tape; parameter gradients accumulate across graphs until
+``zero_grads``.
 """
 from __future__ import annotations
 
@@ -42,15 +43,16 @@ def active_graph() -> "Graph | None":
 class Graph:
     """Recording tape for one forward/backward pass, confined to one thread.
 
-    The tape lives only inside the ``with`` block: on exit every recorded node
-    drops its parents and its backward closure, so the activations the closures
-    saved are freed with the graph and one step's tape never outlives it. The
-    node outputs stay readable; ``backward`` on a node of an exited graph raises
-    RuntimeError.
+    The tape lives only inside the ``with`` block. ``backward`` consumes it
+    node by node; on exit every recorded node it did not reach drops its
+    parents and its backward closure too, so the activations the closures
+    saved never outlive the graph. The node outputs stay readable;
+    ``backward`` on a node of an exited graph raises RuntimeError.
     """
 
     def __init__(self) -> None:
         self.nodes: list[Tensor] = []
+        self.consumed = False  # set by this graph's one ``backward``
 
     def __enter__(self) -> "Graph":
         _graph_stack().append(self)
@@ -68,6 +70,13 @@ class Graph:
 
 def _released(g):
     raise RuntimeError("backward through a node whose graph has exited")
+
+
+_CONSUMED = "an earlier backward in this graph consumed its tape; a graph takes one backward"
+
+
+def _consumed(g):
+    raise RuntimeError(_CONSUMED)
 
 
 def _coerce(data, dtype) -> np.ndarray:
@@ -130,11 +139,15 @@ def _node(data: np.ndarray, parents: tuple, backward_fn) -> Tensor:
 def backward(loss: Tensor) -> None:
     """Populate ``grad`` of every parameter the scalar ``loss`` depends on.
 
-    Walks the active graph's tape once, in reverse creation order. Intermediate
-    gradients live in a per-call map; leaf (parameter) gradients accumulate
-    into ``Tensor.grad`` so repeated calls inside one graph sum until
-    ``zero_grads``. Raises RuntimeError when no graph is active or the graph
-    that recorded ``loss`` has exited (its tape is gone).
+    Walks the active graph's tape once, in reverse creation order, and
+    consumes it: right after a node's backward function returns, the node
+    drops its parents and its closure, and with them the arrays it saved, so
+    the pass holds less the further it gets. A graph therefore takes one
+    ``backward``. Intermediate gradients live in a per-call map; leaf
+    (parameter) gradients accumulate into ``Tensor.grad`` across graphs until
+    ``zero_grads``. Raises RuntimeError when no graph is active, when the
+    graph that recorded ``loss`` has exited, or when an earlier ``backward``
+    in this graph consumed the tape.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -147,12 +160,19 @@ def backward(loss: Tensor) -> None:
         return
     if graph is None or loss._backward is _released:
         raise RuntimeError("backward called outside the graph that recorded the loss")
+    if graph.consumed or loss._backward is _consumed:
+        raise RuntimeError(_CONSUMED)  # before any gradient moves
+    graph.consumed = True
     grads: dict[int, np.ndarray] = {id(loss): seed}
     for node in reversed(graph.nodes):
         gout = grads.pop(id(node), None)
         if gout is None:
             continue
-        for parent, pgrad in zip(node._parents, node._backward(gout)):
+        pgrads = node._backward(gout)
+        parents = node._parents
+        node._parents = ()
+        node._backward = _consumed
+        for parent, pgrad in zip(parents, pgrads):
             if pgrad is None or not parent.requires_grad:
                 continue
             if parent._backward is not None:
@@ -160,6 +180,7 @@ def backward(loss: Tensor) -> None:
                 grads[id(parent)] = pgrad if seen is None else seen + pgrad
             else:
                 _leaf_accumulate(parent, pgrad)
+        pgrads = pgrad = None  # not held through the next node's backward
 
 
 def _leaf_accumulate(leaf: Tensor, g: np.ndarray) -> None:

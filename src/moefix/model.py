@@ -429,8 +429,10 @@ def causal_attention(
     logsumexp and each row's norm scale, never the probabilities: the
     backward pass recomputes them block by block as exp(scores - logsumexp),
     builds the transposed keys and values one group at a time, and rebuilds
-    the normed rows. It frees the head-output gradient, the transposes and
-    its stacked dq/dk/dv buffer before the projection and norm epilogue.
+    the normed rows. It drops each saved array once read (a graph takes one
+    backward): q, k, v, the logsumexp and the head outputs before the
+    epilogue. It gathers dq, dk and dv into the [n, 3d] row gradient one at
+    a time, freeing each, and frees that before the norm backward.
 
     With a ``cache`` (one sequence; inference only), ``x`` holds the tokens
     right after the cached prefix: their keys and values are written into
@@ -495,6 +497,7 @@ def causal_attention(
         return Tensor(out)
 
     def bwd(g):
+        nonlocal q, k, v, lse, merged  # each dropped once read: a graph takes one backward
         g_wo = merged.T @ g
         d_merged = (g @ layer.wo.data.T).reshape(m, h, hd)
         d_out = np.zeros_like(q)
@@ -503,14 +506,23 @@ def causal_attention(
         delta = np.zeros_like(lse)
         delta[slot, :, index] = (d_merged * merged.reshape(m, h, hd)).sum(axis=-1)
         del d_merged
-        d_heads = np.zeros((3, b, h, t, hd), dtype=dtype)  # dq, dk and dv at (seq, pos)
-        dq = d_heads[0] if queries is None else np.empty_like(q)
-        _attend_backward(q, k, v, lse, plan, d_out, delta, dq, d_heads[1], d_heads[2])
+        merged = None
+        dq = np.zeros_like(q) if queries is None else np.empty_like(q)
+        dk, dv = np.zeros_like(k), np.zeros_like(v)
+        _attend_backward(q, k, v, lse, plan, d_out, delta, dq, dk, dv)
         del d_out, delta
-        if queries is not None:  # a row that is no query keeps a zero q gradient
-            d_heads[0, slot, :, pos[queries]] = dq[slot, :, index]
-        d_qkv = d_heads[:, seq, :, pos]  # [n, 3, H, hd]
-        del dq, d_heads
+        q = k = v = lse = None
+        d_qkv = np.empty((n, 3, h, hd), dtype=dtype)
+        if queries is None:
+            d_qkv[:, 0] = dq[seq, :, pos]
+        else:  # a row that is no query keeps a zero q gradient
+            d_qkv[:, 0] = 0
+            d_qkv[queries, 0] = dq[slot, :, index]
+        del dq
+        d_qkv[:, 1] = dk[seq, :, pos]
+        del dk
+        d_qkv[:, 2] = dv[seq, :, pos]
+        del dv
         d_qk = d_qkv[:, :2].view(complex_dtype)
         d_qk *= rows.turn.conj()
         d_qkv = d_qkv.reshape(n, 3 * d)
@@ -518,7 +530,9 @@ def causal_attention(
         xn *= layer.attn_norm.data  # the normed rows, rebuilt
         g_w = xn.T @ d_qkv
         del xn
-        gx, g_norm = ad.rms_norm_backward(d_qkv @ w_qkv.T, x.data, layer.attn_norm.data, r)
+        g_xn = d_qkv @ w_qkv.T
+        del d_qkv, d_qk
+        gx, g_norm = ad.rms_norm_backward(g_xn, x.data, layer.attn_norm.data, r)
         if queries is None:
             gx += g
         else:

@@ -64,6 +64,70 @@ _TILE_ROWS = 128  # rows per tile of the SwiGLU backward: its buffers stay in ca
 _CHUNK_ROWS = 1024  # slots per chunk of the backward pass: its buffers are [chunk, d_ff]
 
 
+def _experts_backward(experts, bounds, order, k: int, h: np.ndarray, g: np.ndarray,
+                      w_slots: np.ndarray, h_gate: np.ndarray, h_up: np.ndarray,
+                      a: np.ndarray, g_h: np.ndarray) -> list:
+    """The expert half of ``_route``'s backward pass: each expert's weight
+    gradients (None for an expert with no slot), from the normed rows ``h``,
+    the output gradient ``g`` and the saved input projections of the slots in
+    expert order. Adds each row's input gradient into ``g_h`` and fills ``a``
+    with ``w * (g . y)`` per slot, in expert order.
+
+    Walks each expert's slots in chunks of ``_CHUNK_ROWS`` and the SwiGLU
+    chain rule over tiles of ``_TILE_ROWS`` rows, in buffers reused across
+    chunks and experts that are freed when it returns."""
+    n_slots, d_ff = h_gate.shape
+    chunk = min(_CHUNK_ROWS, n_slots)
+    g_gated_buf, gated_buf, g_h_up_buf = np.empty((3, chunk, d_ff), dtype=h.dtype)
+    sig = np.empty((_TILE_ROWS, d_ff), dtype=h.dtype)
+    act = np.empty_like(sig)
+    g_params = []
+    for e, expert in enumerate(experts):
+        lo, hi = bounds[e], bounds[e + 1]
+        if lo == hi:
+            g_params += [None, None, None]
+            continue
+        for c0 in range(lo, hi, _CHUNK_ROWS):
+            c1 = min(c0 + _CHUNK_ROWS, hi)
+            slots = order[c0:c1]
+            at = slots // k  # the chunk's rows, each once
+            hs = h[at]
+            g_ys = g[at]
+            g_ys *= w_slots[slots, None]
+            g_gated = np.matmul(g_ys, expert.down.data.T, out=g_gated_buf[:c1 - c0])
+            gated, g_h_up = gated_buf[:c1 - c0], g_h_up_buf[:c1 - c0]
+            g_h_gate = g_gated  # overwritten tile by tile, each after its last read
+            for i0 in range(0, c1 - c0, _TILE_ROWS):
+                i1 = min(i0 + _TILE_ROWS, c1 - c0)
+                hg, hu, gg, s, t = (h_gate[c0 + i0:c0 + i1], h_up[c0 + i0:c0 + i1],
+                                    g_gated[i0:i1], sig[:i1 - i0], act[:i1 - i0])
+                np.negative(hg, out=s)  # sig = 1 / (1 + exp(-h_gate))
+                np.exp(s, out=s)
+                np.add(1.0, s, out=s)
+                np.divide(1.0, s, out=s)
+                np.multiply(hg, s, out=t)  # act
+                np.multiply(t, hu, out=gated[i0:i1])
+                np.einsum("ij,ij->i", gg, gated[i0:i1], out=a[c0 + i0:c0 + i1])
+                np.multiply(gg, t, out=g_h_up[i0:i1])
+                np.subtract(1.0, s, out=t)  # act' = sig * (1 + h_gate * (1 - sig))
+                np.multiply(hg, t, out=t)
+                np.add(1.0, t, out=t)
+                np.multiply(s, t, out=t)
+                np.multiply(gg, hu, out=gg)  # g_h_gate = (g_gated * h_up) * act'
+                np.multiply(gg, t, out=gg)
+            g_hs = g_h_up @ expert.up.data.T
+            g_hs += g_h_gate @ expert.gate_proj.data.T
+            g_h[at] += g_hs  # a row's slots go to distinct experts, so this adds once per row
+            terms = (hs.T @ g_h_up, hs.T @ g_h_gate, gated.T @ g_ys)
+            if c0 == lo:
+                sums = terms
+            else:
+                for total, term in zip(sums, terms):
+                    total += term
+        g_params += sums
+    return g_params
+
+
 def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
            forced: np.ndarray | None = None) -> tuple[Tensor, RoutingDecision]:
     """The MoE sub-block as one graph node: ``x + moe(rms_norm(x, norm))``
@@ -87,12 +151,14 @@ def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
     each row's norm scale, the weights, the sort and the two input
     projections of every slot, nothing when outside one. The backward pass
     rebuilds the normed rows and walks each expert's slots in chunks of
-    ``_CHUNK_ROWS``: it gathers a chunk's normed rows and weighted output
-    gradients, runs the SwiGLU chain rule over tiles of ``_TILE_ROWS`` rows
-    in buffers reused across chunks, with every product in the forward
-    formula's operand order, adds the chunk's input gradient straight into
-    one [n, d] array and sums each expert's weight gradients over its
-    chunks. Within a chunk the gradients are bitwise those of the
+    ``_CHUNK_ROWS`` (``_experts_backward``): it gathers a chunk's normed rows
+    and weighted output gradients, runs the SwiGLU chain rule over tiles of
+    ``_TILE_ROWS`` rows in buffers reused across chunks, with every product
+    in the forward formula's operand order, adds the chunk's input gradient
+    straight into one [n, d] array and sums each expert's weight gradients
+    over its chunks. It drops the two input projections and the buffers
+    after that walk, before the gate and norm backward (a graph takes one
+    backward). Within a chunk the gradients are bitwise those of the
     whole-block formula; at K = 2 so is the input gradient. The gate
     gradient needs no expert output: with ``a[i, j] = w[i, j] * (g[i] .
     y[i, j]) = sum_f(g_gated * gated)``, taken in the tiles, the selected
@@ -151,60 +217,14 @@ def _route(x: Tensor, params: MoeLayerParams, k: int, norm: Tensor, eps: float,
         return Tensor(out), decision
 
     def bwd(g):
+        nonlocal h_gate, h_up  # dropped once read: a graph takes one backward
         h = x.data * r
         h *= norm.data  # the normed rows, rebuilt
-        w_slots = w.ravel()
         g_h = np.zeros_like(h)
         a = np.empty(n * k, dtype=h.dtype)  # w * (g . y) per slot, in expert order
-        d_ff = h_gate.shape[1]
-        chunk = min(_CHUNK_ROWS, n * k)
-        g_gated_buf, gated_buf, g_h_up_buf = np.empty((3, chunk, d_ff), dtype=h.dtype)
-        sig = np.empty((_TILE_ROWS, d_ff), dtype=h.dtype)
-        act = np.empty_like(sig)
-        g_params = []
-        for e, expert in enumerate(experts):
-            lo, hi = bounds[e], bounds[e + 1]
-            if lo == hi:
-                g_params += [None, None, None]
-                continue
-            for c0 in range(lo, hi, _CHUNK_ROWS):
-                c1 = min(c0 + _CHUNK_ROWS, hi)
-                slots = order[c0:c1]
-                at = slots // k  # the chunk's rows, each once
-                hs = h[at]
-                g_ys = g[at]
-                g_ys *= w_slots[slots, None]
-                g_gated = np.matmul(g_ys, expert.down.data.T, out=g_gated_buf[:c1 - c0])
-                gated, g_h_up = gated_buf[:c1 - c0], g_h_up_buf[:c1 - c0]
-                g_h_gate = g_gated  # overwritten tile by tile, each after its last read
-                for i0 in range(0, c1 - c0, _TILE_ROWS):
-                    i1 = min(i0 + _TILE_ROWS, c1 - c0)
-                    hg, hu, gg, s, t = (h_gate[c0 + i0:c0 + i1], h_up[c0 + i0:c0 + i1],
-                                        g_gated[i0:i1], sig[:i1 - i0], act[:i1 - i0])
-                    np.negative(hg, out=s)  # sig = 1 / (1 + exp(-h_gate))
-                    np.exp(s, out=s)
-                    np.add(1.0, s, out=s)
-                    np.divide(1.0, s, out=s)
-                    np.multiply(hg, s, out=t)  # act
-                    np.multiply(t, hu, out=gated[i0:i1])
-                    np.einsum("ij,ij->i", gg, gated[i0:i1], out=a[c0 + i0:c0 + i1])
-                    np.multiply(gg, t, out=g_h_up[i0:i1])
-                    np.subtract(1.0, s, out=t)  # act' = sig * (1 + h_gate * (1 - sig))
-                    np.multiply(hg, t, out=t)
-                    np.add(1.0, t, out=t)
-                    np.multiply(s, t, out=t)
-                    np.multiply(gg, hu, out=gg)  # g_h_gate = (g_gated * h_up) * act'
-                    np.multiply(gg, t, out=gg)
-                g_hs = g_h_up @ expert.up.data.T
-                g_hs += g_h_gate @ expert.gate_proj.data.T
-                g_h[at] += g_hs  # a row's slots go to distinct experts, so this adds once per row
-                terms = (hs.T @ g_h_up, hs.T @ g_h_gate, gated.T @ g_ys)
-                if c0 == lo:
-                    sums = terms
-                else:
-                    for total, term in zip(sums, terms):
-                        total += term
-            g_params += sums
+        g_params = _experts_backward(experts, bounds, order, k, h, g, w.ravel(), h_gate, h_up,
+                                     a, g_h)
+        h_gate = h_up = None
         a_slots = np.empty_like(a)
         a_slots[order] = a
         a = a_slots.reshape(n, k)

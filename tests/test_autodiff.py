@@ -188,14 +188,29 @@ class TestBackward:
                 ad.backward(y)
 
     def test_grads_accumulate_until_reset(self):
+        # leaf gradients sum across graphs, one backward each
         x = t64([3.0])
-        with Graph():
-            loss = sum_(mul(x, x))
-            ad.backward(loss)
-            ad.backward(loss)
+        for _ in range(2):
+            with Graph():
+                loss = sum_(mul(x, x))
+                ad.backward(loss)
         assert np.allclose(x.grad, [12.0])
         ad.zero_grads([x])
         assert x.grad is None
+
+    def test_second_backward_in_one_graph_raises(self):
+        # the first backward consumed the tape: the error says so, not that
+        # the graph has exited, and no leaf gradient moves
+        x = t64([3.0])
+        with Graph():
+            y = mul(x, x)
+            loss = sum_(y)
+            ad.backward(loss)
+            with pytest.raises(RuntimeError, match="earlier backward in this graph"):
+                ad.backward(loss)
+            with pytest.raises(RuntimeError, match="earlier backward in this graph"):
+                ad.backward(sum_(mul(y, x)))  # a new loss, over a consumed node and a leaf
+        assert np.array_equal(x.grad, [6.0])
 
     def test_shared_subexpression_visited_once(self):
         # diamond: y = x*x; loss = sum(y + y). Each backward fn must fire once.
@@ -255,6 +270,20 @@ class TestTapeLifetime:
         with Graph(), pytest.raises(RuntimeError, match="outside the graph"):
             ad.backward(loss)
         assert x.grad is None and loss.grad is None
+
+    def test_backward_consumes_the_tape_node_by_node(self):
+        x = t64(np.arange(6.0).reshape(2, 3))
+        with Graph() as g:
+            y = rms_norm(x, t64(np.ones(3)), 1e-6)
+            loss = sum_(mul(y, y))
+            cells = [c.cell_contents for c in y._backward.__closure__]
+            saved = [weakref.ref(a) for a in cells if isinstance(a, np.ndarray)]
+            del cells
+            ad.backward(loss)
+            assert saved and all(ref() is None for ref in saved)
+            for node in g.nodes:
+                assert node._parents == ()
+                assert getattr(node._backward, "__closure__", None) is None
 
 
 class TestClipGlobalNorm:

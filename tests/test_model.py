@@ -1,5 +1,6 @@
 import inspect
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -367,6 +368,62 @@ class TestBackwardWorkingSet:
         assert all(len(units) == cfg.n_layers for units in held.values())
         assert max(held["causal_attention"]) < 10.0, held
         assert max(held["_route"]) < 10.0, held
+
+
+class TestSavedArraysRelease:
+    """A graph takes one backward, so a node lets go of what it saved once it
+    has read it: the attention node its q, k, v, logsumexp and head outputs,
+    the MoE node its two input projections, each before its norm backward.
+    Everything either node saved is gone when ``backward`` returns."""
+
+    SAVED = {"causal_attention": ("q", "k", "v", "lse", "merged", "r", "w_qkv"),
+             "_route": ("h_gate", "h_up", "r", "order")}
+    BEFORE_NORM = {"causal_attention": ("q", "k", "v", "lse", "merged"),
+                   "_route": ("h_gate", "h_up")}
+
+    @staticmethod
+    def _refs(cells, names):
+        # each array and the buffer it views, if any
+        arrays = [cells[name] for name in names]
+        arrays += [a.base for a in arrays if isinstance(a.base, np.ndarray)]
+        return [weakref.ref(a) for a in arrays]
+
+    def test_nodes_free_saved_arrays_as_they_are_read(self, monkeypatch):
+        cfg = tiny_config()
+        params = init_params(cfg, seed=31)
+        rng = np.random.default_rng(32)
+        lengths = np.array([9, 7, 5])
+        n = int(lengths.sum())
+        mask = rng.random(n) < 0.5
+        arrays = (rng.integers(0, cfg.vocab_size, size=n), rng.integers(0, cfg.vocab_size, size=n),
+                  mask, np.arange(3), lengths)
+        before_norm, dead_at_norm = {}, {}
+        norm_backward = ad.rms_norm_backward
+
+        def watched(g, x, weight, r):
+            if id(weight) in before_norm:
+                dead_at_norm[id(weight)] = all(ref() is None for ref in before_norm[id(weight)])
+            return norm_backward(g, x, weight, r)
+
+        monkeypatch.setattr(ad, "rms_norm_backward", watched)
+        with ad.Graph() as graph:
+            loss, _ = training.nll_loss(params, cfg, arrays)
+            saved = []
+            for node in graph.nodes:
+                kind = node._backward.__qualname__.split(".")[0]
+                if kind in self.SAVED:
+                    fn = node._backward
+                    cells = dict(zip(fn.__code__.co_freevars,
+                                     (c.cell_contents for c in fn.__closure__)))
+                    saved += self._refs(cells, self.SAVED[kind])
+                    norm = cells["layer"].attn_norm if kind == "causal_attention" else cells["norm"]
+                    before_norm[id(norm.data)] = self._refs(cells, self.BEFORE_NORM[kind])
+            del fn, cells
+            assert all(ref() is not None for ref in saved)
+            ad.backward(loss)
+            assert len(dead_at_norm) == 2 * cfg.n_layers
+            assert all(dead_at_norm.values()), dead_at_norm
+            assert all(ref() is None for ref in saved)  # still inside the graph
 
 
 class TestForward:
