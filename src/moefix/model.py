@@ -71,9 +71,7 @@ class ModelConfig:
 @dataclass
 class LayerParams:
     attn_norm: Tensor
-    wq: Tensor
-    wk: Tensor
-    wv: Tensor
+    wqkv: Tensor  # [d, 3d] = [q | k | v], q and k in ``_pair_order``
     wo: Tensor
     ffn_norm: Tensor
     moe: MoeLayerParams
@@ -89,7 +87,7 @@ class TransformerParams:
 def named_tensors(params: TransformerParams):
     yield "embedding", params.embedding
     for i, layer in enumerate(params.layers):
-        for attr in ("attn_norm", "wq", "wk", "wv", "wo", "ffn_norm"):
+        for attr in ("attn_norm", "wqkv", "wo", "ffn_norm"):
             yield f"layers.{i}.{attr}", getattr(layer, attr)
         yield f"layers.{i}.moe.gate", layer.moe.gate
         for e, expert in enumerate(layer.moe.experts):
@@ -130,9 +128,8 @@ def build_params(config: ModelConfig, make) -> TransformerParams:
                                 down=tensor(f"{p}moe.experts.{e}.down", dff, d))
                    for e in range(config.n_experts)]
         layers.append(LayerParams(
-            attn_norm=tensor(p + "attn_norm", d), wq=tensor(p + "wq", d, d),
-            wk=tensor(p + "wk", d, d), wv=tensor(p + "wv", d, d), wo=tensor(p + "wo", d, d),
-            ffn_norm=tensor(p + "ffn_norm", d),
+            attn_norm=tensor(p + "attn_norm", d), wqkv=tensor(p + "wqkv", d, 3 * d),
+            wo=tensor(p + "wo", d, d), ffn_norm=tensor(p + "ffn_norm", d),
             moe=MoeLayerParams(gate=tensor(p + "moe.gate", d, config.n_experts), experts=experts),
         ))
     return TransformerParams(
@@ -143,13 +140,20 @@ def build_params(config: ModelConfig, make) -> TransformerParams:
 
 
 def init_params(config: ModelConfig, seed: int, dtype: str = "f32") -> TransformerParams:
-    """Fresh parameters: weights ~ N(0, 0.02^2) truncated at 3 sigma, unit norms."""
+    """Fresh parameters: weights ~ N(0, 0.02^2) truncated at 3 sigma, unit norms.
+    A ``wqkv`` is drawn as its q, k and v blocks, one after another, and
+    stored with the q and k columns in ``_pair_order``."""
     np_dtype = ad.DTYPES[dtype]
     rng = np.random.default_rng(seed)
 
     def make(name, shape):
         if name.endswith("norm"):
             return np.ones(shape, dtype=np_dtype)
+        if name.endswith("wqkv"):
+            d = shape[0]
+            q, k, v = (_trunc_normal(rng, (d, d), INIT_STD, np_dtype) for _ in range(3))
+            cols = _pair_order(config)
+            return np.concatenate([q[:, cols], k[:, cols], v], axis=1)
         return _trunc_normal(rng, shape, INIT_STD, np_dtype)
 
     return build_params(config, make)
@@ -248,17 +252,13 @@ def row_layout(config: ModelConfig, lengths, dtype) -> RowLayout:
 def _pair_order(config: ModelConfig) -> np.ndarray:
     """Column order of a q or k projection that interleaves each head's
     (first-half, second-half) feature pairs: each pair is then one complex
-    number, and the rotary turn one complex product. The scores, sums over
-    the features, do not depend on their order."""
+    number, and the rotary turn one complex product. ``init_params`` stores
+    the q and k blocks of ``wqkv`` in this order, so a seed builds the model
+    of half-split rotary features; the scores, sums over the features, do not
+    depend on their order."""
     half = config.head_dim // 2
     in_head = np.arange(2 * half).reshape(2, half).T.ravel()
     return (np.arange(config.n_heads)[:, None] * 2 * half + in_head).ravel()
-
-
-def _fused_projection(layer: LayerParams, config: ModelConfig) -> np.ndarray:
-    """[wq | wk | wv] as one [d, 3d] matrix, q and k in ``_pair_order``."""
-    cols = _pair_order(config)
-    return np.concatenate([layer.wq.data[:, cols], layer.wk.data[:, cols], layer.wv.data], axis=1)
 
 
 def _block_scores(q: np.ndarray, k_t: np.ndarray, mask, n_keys: int) -> np.ndarray:
@@ -409,7 +409,9 @@ def causal_attention(
 ) -> Tensor:
     """The attention sub-block as one graph node: ``x + attention(
     rms_norm(x, attn_norm))``, multi-head with rotary Q/K and a strict
-    causal mask, through the output projection.
+    causal mask, through the output projection. One product with the
+    layer's ``wqkv`` gives each row's q, k and v, q and k with each head's
+    rotary pairs adjacent.
 
     ``x`` [n, d] holds the raw residual rows of B sequences back to back,
     laid out by ``rows`` (see ``row_layout``). The norm and the projections
@@ -449,7 +451,7 @@ def causal_attention(
     complex_dtype = np.result_type(dtype, np.complex64)
     if rows.turn.dtype != complex_dtype:
         raise ValueError(f"row layout built for {rows.turn.dtype}, activations are {dtype}")
-    parents = (x, layer.attn_norm, layer.wq, layer.wk, layer.wv, layer.wo)
+    parents = (x, layer.attn_norm, layer.wqkv, layer.wo)
     save = ad.recording(parents)
     if cache is not None and (save or queries is not None):
         raise ValueError("the KV cache path is inference-only and computes every row; "
@@ -461,9 +463,8 @@ def causal_attention(
     m = len(slot)
 
     xn, r = ad.rms_norm_forward(x.data, layer.attn_norm.data, config.rms_eps)
-    w_qkv = _fused_projection(layer, config) if cache is None else cache.w_qkv[layer_index]
     if queries is None:
-        qkv = (xn @ w_qkv).reshape(n, 3, h, hd)
+        qkv = (xn @ layer.wqkv.data).reshape(n, 3, h, hd)
         qk = qkv[:, :2].view(complex_dtype)
         qk *= rows.turn
         if cache is None:
@@ -474,10 +475,10 @@ def causal_attention(
             q = np.ascontiguousarray(np.swapaxes(qkv[:, 0], 0, 1))[None]
             k, v = cache.write(layer_index, qkv[:, 1:])
     else:
-        kv = (xn @ w_qkv[:, d:]).reshape(n, 2, h, hd)
+        kv = (xn @ layer.wqkv.data[:, d:]).reshape(n, 2, h, hd)
         k_turned = kv[:, 0].view(complex_dtype)
         k_turned *= rows.turn[:, 1]
-        q_rows = (xn[queries] @ w_qkv[:, :d]).reshape(m, h, hd)
+        q_rows = (xn[queries] @ layer.wqkv.data[:, :d]).reshape(m, h, hd)
         q_turned = q_rows.view(complex_dtype)
         q_turned *= rows.turn[queries, 0]
         heads = np.zeros((2, b, h, t, hd), dtype=dtype)
@@ -530,16 +531,14 @@ def causal_attention(
         xn *= layer.attn_norm.data  # the normed rows, rebuilt
         g_w = xn.T @ d_qkv
         del xn
-        g_xn = d_qkv @ w_qkv.T
+        g_xn = d_qkv @ layer.wqkv.data.T
         del d_qkv, d_qk
         gx, g_norm = ad.rms_norm_backward(g_xn, x.data, layer.attn_norm.data, r)
         if queries is None:
             gx += g
         else:
             gx[queries] += g
-        back = np.argsort(_pair_order(config))
-        return (gx, g_norm, g_w[:, :d][:, back], g_w[:, d:2 * d][:, back],
-                g_w[:, 2 * d:], g_wo)
+        return gx, g_norm, g_w, g_wo
 
     return ad._node(out, parents, bwd)
 
@@ -554,8 +553,7 @@ class KVCache:
     pass reads past them. The lists and their arrays stay the same objects
     for the cache's life. The keys are rotated, with each head's features in
     ``_pair_order``. Cached keys and values hold only for the weights that
-    made them, so the cache also keeps each layer's fused projection
-    ``w_qkv[i]``, and it reads the rotary turns of every position from
+    made them. The cache reads the rotary turns of every position from
     ``_position_turns``, shared and read-only.
     """
 
@@ -565,7 +563,6 @@ class KVCache:
                                   config.head_dim), dtype=dtype))  # per layer [2, 1, H, S, hd]
         self.k = [kv[0] for kv in self._kv]
         self.v = [kv[1] for kv in self._kv]
-        self.w_qkv = [_fused_projection(layer, config) for layer in params.layers]
         self.turns = _position_turns(config, dtype)
         self.length = 0
 

@@ -223,7 +223,7 @@ def nll_loss(params: TransformerParams, config: ModelConfig, batch_arrays,
 # --- checkpoints -------------------------------------------------------------
 
 MAGIC = b"NEKO"
-VERSION = 1
+VERSION = 2
 _DTYPE_TAGS = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
@@ -409,7 +409,8 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
             raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
         (version,) = struct.unpack("<I", _read_exact(fh, end, 4))
         if version != VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+            raise CheckpointError(f"{path}: unsupported checkpoint version {version} "
+                                  f"(this build reads version {VERSION})")
         (header_len,) = struct.unpack("<I", _read_exact(fh, end, 4))
         try:
             header = json.loads(_read_exact(fh, end, header_len).decode("utf-8"))
@@ -446,10 +447,6 @@ def load_checkpoint(path, optimizer: bool = True) -> Checkpoint:
                                   f"{header['n_tensors']} tensors")
 
     config = _config_from(path, ModelConfig, header["model_config"])
-    # headers written while training had a load-balance aux loss hold its
-    # coefficient; its default, 0, changed nothing and is dropped
-    if header["train_config"].pop("aux_loss_coeff", 0) != 0:
-        raise CheckpointError(f"{path}: nonzero aux_loss_coeff, a removed load-balance loss")
     train_config = _config_from(path, TrainConfig, header["train_config"])
     tasks = header["tasks"]
     if not all(type(name) is str for name in tasks):

@@ -245,21 +245,26 @@ def masked_softmax_reference(logits: np.ndarray, keep: np.ndarray) -> np.ndarray
 def attention_reference(x: np.ndarray, layer, config) -> np.ndarray:
     """Causal multi-head attention over a whole sequence in dense numpy, the
     oracle for ``model.causal_attention``: rotary q/k at positions 0..T-1, all
-    [T, T] scores, masked above the diagonal and softmaxed row by row."""
+    [T, T] scores, masked above the diagonal and softmaxed row by row. The
+    q and k projections are taken out of ``wqkv`` in natural feature order,
+    and rotary turns each head's (first-half, second-half) feature pairs."""
     b, t, d = x.shape
     h, hd = config.n_heads, config.head_dim
     half = hd // 2
     angles = np.arange(t)[:, None] * config.rope_base ** (-np.arange(half) / half)
     cos, sin = np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+    natural = np.argsort(model._pair_order(config))
+    wqkv = layer.wqkv.data
+    wq, wk, wv = wqkv[:, :d][:, natural], wqkv[:, d:2 * d][:, natural], wqkv[:, 2 * d:]
 
     def heads(w, rotate):
-        y = (x @ w.data).reshape(b, t, h, hd)
+        y = (x @ w).reshape(b, t, h, hd)
         if rotate:
             y1, y2 = y[..., :half], y[..., half:]
             y = np.concatenate([y1 * cos - y2 * sin, y2 * cos + y1 * sin], axis=-1)
         return y.transpose(0, 2, 1, 3)  # [B, H, T, hd]
 
-    q, k, v = heads(layer.wq, True), heads(layer.wk, True), heads(layer.wv, False)
+    q, k, v = heads(wq, True), heads(wk, True), heads(wv, False)
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd)
     scores[..., np.triu(np.ones((t, t), dtype=bool), 1)] = -np.inf
     p = np.exp(scores - scores.max(axis=-1, keepdims=True))

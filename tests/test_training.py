@@ -466,7 +466,7 @@ class TestTrainLoop:
             real_backward(loss)
             calls.append(float(loss.data))
             if len(calls) == 2:  # the loss of step 1 is finite, one gradient is not
-                ckpt.params.layers[0].wq.grad[0, 0] = np.nan
+                ckpt.params.layers[0].wqkv.grad[0, 0] = np.nan
 
         snapshots = {}
 
@@ -566,13 +566,6 @@ class TestCheckpoint:
         save_checkpoint(back, resaved)
         assert resaved.read_bytes() == raw
 
-    def test_loads_header_with_zero_aux_loss_coeff(self, tmp_path):
-        # headers written while training had a load-balance aux loss hold its
-        # coefficient, 0 unless it was turned on
-        path = self._with_header(tmp_path, lambda h: h["train_config"].update(aux_loss_coeff=0.0))
-        save_checkpoint(load_checkpoint(path), tmp_path / "resaved.ck")
-        assert (tmp_path / "resaved.ck").read_bytes() == (tmp_path / "m.ck").read_bytes()
-
     def test_nonzero_aux_loss_coeff_rejected(self, tmp_path):
         path = self._with_header(tmp_path, lambda h: h["train_config"].update(aux_loss_coeff=0.01))
         with pytest.raises(CheckpointError, match="aux_loss_coeff") as err:
@@ -617,14 +610,14 @@ class TestCheckpoint:
         save_checkpoint(ckpt, path)
         self._rejected_by_both_reads(path, f"missing tensor '{key}'")
 
-    @pytest.mark.parametrize("key,expected", [("layers.0.wq", "(16, 16)"),
+    @pytest.mark.parametrize("key,expected", [("layers.0.wqkv", "(16, 48)"),
                                               ("opt.m.layers.1.moe.gate", "(16, 4)")])
     def test_misshapen_tensor_rejected(self, tmp_path, key, expected):
         ckpt, registry, tok = make_setup(seed=12)
         if key.startswith("opt.m."):
             ckpt.opt.m[key[len("opt.m."):]] = np.zeros((16, 3))
         else:
-            ckpt.params.layers[0].wq.data = np.zeros((16, 3))
+            ckpt.params.layers[0].wqkv.data = np.zeros((16, 3))
         path = tmp_path / "m.ck"
         save_checkpoint(ckpt, path)
         self._rejected_by_both_reads(path, re.escape(f"'{key}' has shape (16, 3), "
@@ -647,17 +640,20 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_bad_version(self, tmp_path):
+        # version 1 stored each layer's q, k and v projections apart
         path = tmp_path / "bad.ck"
-        path.write_bytes(b"NEKO" + (99).to_bytes(4, "little") + b"\x00" * 8)
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(path)
+        for version in (1, 99):
+            path.write_bytes(b"NEKO" + version.to_bytes(4, "little") + b"\x00" * 8)
+            with pytest.raises(CheckpointError, match=re.escape(
+                    f"unsupported checkpoint version {version} (this build reads version 2)")):
+                load_checkpoint(path)
 
     def test_truncation(self, tmp_path):
         ckpt, registry, tok = make_setup(seed=13)
         path = tmp_path / "m.ck"
         save_checkpoint(ckpt, path)
         raw = path.read_bytes()
-        opt_at = tensor_offsets(path)["opt.m.layers.0.wq"]
+        opt_at = tensor_offsets(path)["opt.m.layers.0.wqkv"]
         # in the header, in an optimizer tensor's header, in its data, and
         # in the data of the last tensor
         for i, end in enumerate([200, opt_at + 3, opt_at + 200, len(raw) - 3]):
